@@ -67,7 +67,7 @@ Status free_closure(Runtime& rt, TypeId type, void* root) {
   if (root == nullptr) return Status::ok();
   std::vector<std::pair<TypeId, void*>> children;
   SRPC_RETURN_IF_ERROR(walk_pointer_fields(
-      rt.registry(), rt.layouts(), rt.arch(), type, root,
+      rt.layouts(), rt.arch(), type, root,
       [&](std::uint64_t target, TypeId pointee) -> Status {
         children.emplace_back(pointee, reinterpret_cast<void*>(target));
         return Status::ok();

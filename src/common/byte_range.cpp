@@ -42,22 +42,6 @@ void diff_ranges(const std::uint8_t* cur, const std::uint8_t* twin,
   }
 }
 
-bool ranges_intersect(std::span<const ByteRange> a,
-                      std::span<const ByteRange> b) noexcept {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].end() <= b[j].offset) {
-      ++i;
-    } else if (b[j].end() <= a[i].offset) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::uint64_t ranges_bytes(std::span<const ByteRange> ranges) noexcept {
   std::uint64_t total = 0;
   for (const ByteRange& r : ranges) total += r.len;

@@ -32,11 +32,6 @@ void diff_ranges(const std::uint8_t* cur, const std::uint8_t* twin,
                  std::uint32_t len, std::uint32_t base, std::uint32_t merge_gap,
                  std::vector<ByteRange>& out);
 
-// True if any range in `a` overlaps any range in `b` (both sorted,
-// non-overlapping — i.e. merged).
-[[nodiscard]] bool ranges_intersect(std::span<const ByteRange> a,
-                                    std::span<const ByteRange> b) noexcept;
-
 // Total byte count covered by a merged range set.
 [[nodiscard]] std::uint64_t ranges_bytes(std::span<const ByteRange> ranges) noexcept;
 

@@ -6,46 +6,20 @@
 namespace srpc {
 
 Status walk_pointer_fields(
-    const TypeRegistry& registry, const LayoutEngine& layouts, const ArchModel& arch,
-    TypeId type, const void* src,
+    const LayoutEngine& layouts, const ArchModel& arch, TypeId type, const void* src,
     const std::function<Status(std::uint64_t, TypeId)>& fn) {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
+  auto layout = layouts.layout_of(arch, type);
+  if (!layout) return layout.status();
+  if (!layout.value()->has_pointers) return Status::ok();
   const auto* bytes = static_cast<const std::uint8_t*>(src);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return Status::ok();
-    case TypeKind::kPointer: {
-      const std::uint64_t ordinary =
-          read_scaled_uint(src, arch.pointer_size, arch.endian);
-      if (ordinary == 0) return Status::ok();
-      return fn(ordinary, desc.pointee());
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(walk_pointer_fields(registry, layouts, arch, desc.element(),
-                                                 bytes + i * stride, fn));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(walk_pointer_fields(
-            registry, layouts, arch, fields[i].type,
-            bytes + layout.value()->field_offsets[i], fn));
-      }
-      return Status::ok();
-    }
-  }
-  return internal_error("unreachable type kind");
+  return for_each_leaf(
+      layout.value()->leaves, 0,
+      [&](const LayoutLeaf& leaf, std::uint64_t offset) -> Status {
+        if (leaf.kind != LayoutLeaf::Kind::kPointer) return Status::ok();
+        const std::uint64_t ordinary =
+            read_scaled_uint(bytes + offset, arch.pointer_size, arch.endian);
+        return ordinary == 0 ? Status::ok() : fn(ordinary, leaf.pointee);
+      });
 }
 
 Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
@@ -62,7 +36,7 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
         GraphObjectRef{datum.id.address, datum.id.type, datum.image});
     ++out.objects;
     return walk_pointer_fields(
-        codec_.registry, codec_.layouts, arch_, datum.id.type, datum.image,
+        codec_.layouts, arch_, datum.id.type, datum.image,
         [&](std::uint64_t target, TypeId pointee) -> Status {
           (void)pointee;
           if (enqueued.insert(target).second) queue.push_back(target);

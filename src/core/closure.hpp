@@ -91,8 +91,7 @@ class ClosurePacker {
 // pointer field reachable inside one value of `type` at `src` (descending
 // through nested structs and arrays, not through the pointers themselves).
 Status walk_pointer_fields(
-    const TypeRegistry& registry, const LayoutEngine& layouts, const ArchModel& arch,
-    TypeId type, const void* src,
+    const LayoutEngine& layouts, const ArchModel& arch, TypeId type, const void* src,
     const std::function<Status(std::uint64_t, TypeId)>& fn);
 
 }  // namespace srpc

@@ -2,59 +2,23 @@
 
 namespace srpc {
 
-Result<std::span<const ByteRange>> PointerRangeIndex::pointer_ranges(
-    TypeId type) const {
-  if (auto it = cache_.find(type); it != cache_.end()) {
-    return std::span<const ByteRange>(it->second);
-  }
-  std::vector<ByteRange> ranges;
-  SRPC_RETURN_IF_ERROR(collect(type, 0, ranges));
-  merge_ranges(ranges);
-  auto [it, inserted] = cache_.emplace(type, std::move(ranges));
-  (void)inserted;
-  return std::span<const ByteRange>(it->second);
-}
-
-Status PointerRangeIndex::collect(TypeId type, std::uint64_t base,
-                                  std::vector<ByteRange>& out) const {
-  auto desc = registry_.find(type);
-  if (!desc) return desc.status();
-  switch (desc.value()->kind()) {
-    case TypeKind::kScalar:
-      return Status::ok();
-    case TypeKind::kPointer:
-      out.push_back(ByteRange{static_cast<std::uint32_t>(base),
-                              arch_.pointer_size});
-      return Status::ok();
-    case TypeKind::kStruct: {
-      auto layout = layouts_.layout_of(arch_, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.value()->fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(collect(fields[i].type,
-                                     base + layout.value()->field_offsets[i],
-                                     out));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kArray: {
-      const TypeId element = desc.value()->element();
-      // Shortcut: pointer-free element types contribute nothing no matter
-      // the count — probe the first element before unrolling.
-      std::vector<ByteRange> probe;
-      SRPC_RETURN_IF_ERROR(collect(element, 0, probe));
-      if (probe.empty()) return Status::ok();
-      const std::uint64_t stride = layouts_.size_of(arch_, element);
-      for (std::uint32_t i = 0; i < desc.value()->count(); ++i) {
-        for (const ByteRange& r : probe) {
-          out.push_back(ByteRange{
-              static_cast<std::uint32_t>(base + i * stride + r.offset), r.len});
-        }
-      }
-      return Status::ok();
-    }
-  }
-  return internal_error("unhandled type kind");
+Result<bool> touches_pointer_field(const LayoutEngine& layouts, const ArchModel& arch,
+                                   TypeId type, std::span<const ByteRange> dirty) {
+  auto layout = layouts.layout_of(arch, type);
+  if (!layout) return layout.status();
+  if (!layout.value()->has_pointers) return false;
+  // Leaves come in ascending offset order, so one sweep over `dirty` does.
+  std::size_t next = 0;
+  bool hit = false;
+  SRPC_RETURN_IF_ERROR(for_each_leaf(
+      layout.value()->leaves, 0,
+      [&](const LayoutLeaf& leaf, std::uint64_t offset) -> Status {
+        if (hit || leaf.kind != LayoutLeaf::Kind::kPointer) return Status::ok();
+        while (next < dirty.size() && dirty[next].end() <= offset) ++next;
+        hit = next < dirty.size() && dirty[next].offset < offset + arch.pointer_size;
+        return Status::ok();
+      }));
+  return hit;
 }
 
 }  // namespace srpc

@@ -1,11 +1,11 @@
 // Support machinery for delta-encoded modified sets (PROTOCOL.md
 // "MODIFIED_DELTA").
 //
-// PointerRangeIndex answers "which bytes of this type's local layout hold
-// pointer fields?". Raw byte-range deltas ship local images verbatim, and a
-// swizzled local pointer is meaningless in any other space — so a delta
-// whose dirty ranges touch pointer bytes must fall back to the graph
-// payload encoder, which unswizzles pointers properly.
+// touches_pointer_field() answers "does this delta write a pointer field?".
+// Raw byte-range deltas ship local images verbatim, and a swizzled local
+// pointer is meaningless in any other space — so a delta whose dirty
+// ranges touch pointer bytes must fall back to the graph payload encoder,
+// which unswizzles pointers properly.
 //
 // ShipState is the per-object epoch/fingerprint record behind the
 // "already shipped to this hop" skip: each space fingerprints an object's
@@ -24,32 +24,13 @@
 #include "common/status.hpp"
 #include "types/arch.hpp"
 #include "types/layout.hpp"
-#include "types/type_registry.hpp"
 
 namespace srpc {
 
-class PointerRangeIndex {
- public:
-  PointerRangeIndex(const TypeRegistry& registry, const LayoutEngine& layouts,
-                    const ArchModel& arch)
-      : registry_(registry), layouts_(layouts), arch_(arch) {}
-  PointerRangeIndex(const PointerRangeIndex&) = delete;
-  PointerRangeIndex& operator=(const PointerRangeIndex&) = delete;
-
-  // Merged byte ranges covered by pointer fields anywhere in `type`'s local
-  // layout (recursing through structs and arrays). Cached per type; the
-  // span stays valid for the index's lifetime.
-  Result<std::span<const ByteRange>> pointer_ranges(TypeId type) const;
-
- private:
-  Status collect(TypeId type, std::uint64_t base,
-                 std::vector<ByteRange>& out) const;
-
-  const TypeRegistry& registry_;
-  const LayoutEngine& layouts_;
-  const ArchModel& arch_;
-  mutable std::unordered_map<TypeId, std::vector<ByteRange>> cache_;
-};
+// True when a dirty range of an object of `type` (object-relative, merged)
+// overlaps one of its pointer fields in `arch`'s layout.
+Result<bool> touches_pointer_field(const LayoutEngine& layouts, const ArchModel& arch,
+                                   TypeId type, std::span<const ByteRange> dirty);
 
 // Per-object, session-scoped shipping record (see Runtime).
 struct ShipState {

@@ -53,9 +53,9 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
       codec_{registry, layouts},
       host_types_(host_types),
       sim_(sim),
+      vclock_(sim != nullptr ? &sim->clock_of(self) : nullptr),
       directory_(std::move(directory)),
       peer_caps_(std::move(peer_caps)),
-      pointer_index_(registry, layouts, arch),
       endpoint_(self, transport, mailbox_),
       heap_(registry, layouts, arch, self),
       cache_(registry, layouts, arch, self, cache_options, *this),
@@ -72,7 +72,7 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
     // overlap their latency); the receive edge lands here, when the worker
     // dequeues the message.
     endpoint_.set_delivery_hook([this](const Message& msg) {
-      if (msg.arrive_ns != 0) sim_->clock().advance_to(msg.arrive_ns);
+      if (msg.arrive_ns != 0) sim_->deliver(*vclock_, msg.arrive_ns);
     });
   }
   endpoint_.set_telemetry(&telemetry_);
@@ -498,9 +498,9 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
       // Raw ranges ship local images verbatim; swizzled local pointers are
       // meaningless elsewhere, so pointer-touching deltas take the graph
       // encoder instead.
-      auto pointer_bytes = pointer_index_.pointer_ranges(d.id.type);
-      if (!pointer_bytes) return pointer_bytes.status();
-      if (ranges_intersect(eff, pointer_bytes.value())) {
+      auto writes_pointer = touches_pointer_field(layouts_, arch_, d.id.type, eff);
+      if (!writes_pointer) return writes_pointer.status();
+      if (writes_pointer.value()) {
         as_delta = false;
       } else if (d.complete) {
         // Full-image fallback: past this point the delta costs more wire
@@ -1894,7 +1894,7 @@ Result<ByteBuffer> Runtime::fetch(SpaceId home, std::span<const LongPointer> poi
 }
 
 void Runtime::charge_fault() {
-  if (sim_ != nullptr) sim_->charge_fault();
+  if (sim_ != nullptr) sim_->charge_fault(*vclock_);
 }
 
 Result<ByteBuffer> Runtime::deref_remote(const LongPointer& pointer) {
@@ -2806,8 +2806,7 @@ Status Runtime::end_session(SessionId id) {
         // wound, or an older writer holds the object). The session lost;
         // the caller aborts it and retries under backoff.
         ++stats_.wb_conflicts;
-        telemetry_.count("concurrency.wb_conflicts",
-                         "session=" + std::to_string(id));
+        telemetry_.count("concurrency.wb_conflicts");
         telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
                                   p.home, "lost arbitration", 0,
                                   id);
@@ -3016,8 +3015,7 @@ Status Runtime::end_session(SessionId id) {
     st.span = SpanRecorder::kNoSpan;
   }
   ++stats_.sessions_committed;
-  telemetry_.hist("session.commit_ns", "session=" + std::to_string(id))
-      .record(telemetry_.now_ns() - t_start);
+  telemetry_.hist("session.commit_ns").record(telemetry_.now_ns() - t_start);
   telemetry_.observe_slo("SESSION_COMMIT", telemetry_.now_ns() - t_start);
   if (multi_session_) {
     // Any arbitration state this session left in the local arbiter (it is
@@ -3321,6 +3319,7 @@ void Runtime::serve_forever() {
     auto item = endpoint_.next();
     if (!item) break;  // mailbox closed
     if (std::holds_alternative<Task>(item.value())) {
+      if (sim_ != nullptr) sim_->resume(*vclock_);
       std::get<Task>(item.value())();
       continue;
     }

@@ -672,9 +672,9 @@ class Runtime final : public PageFetcher,
   ValueCodec codec_;
   HostTypeMap& host_types_;
   SimNetwork* sim_;
+  VirtualClock* vclock_;  // this space's clock on sim_
   std::function<std::vector<SpaceId>()> directory_;
   std::function<std::uint32_t(SpaceId)> peer_caps_;
-  PointerRangeIndex pointer_index_;
   bool modified_deltas_enabled_ = true;
   bool two_phase_writeback_enabled_ = true;
   bool parallel_commit_ = true;

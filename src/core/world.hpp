@@ -175,9 +175,10 @@ class World {
   void run_concurrent(const std::vector<std::pair<AddressSpace*, GroundFn>>& jobs);
 
   // One JSON document with every space's metrics (Runtime::metrics_json),
-  // keyed by space name — session-labelled series (for example
-  // session.commit_ns) keep their labels, so per-session aggregates
-  // survive the merge.
+  // keyed by space name. Series are per space, not per session (for
+  // example session.commit_ns is one histogram over every committed
+  // session), so the registry stays the same size however many sessions
+  // run.
   [[nodiscard]] std::string metrics_json();
 
   // One JSON health snapshot for the whole world: every space's

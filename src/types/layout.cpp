@@ -51,11 +51,14 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
       const std::uint32_t size = scalar_size(desc.scalar());
       out.size = size;
       out.align = std::min(size, arch.max_align);
+      out.leaves.push_back({.kind = LayoutLeaf::Kind::kScalar, .scalar = desc.scalar()});
       return out;
     }
     case TypeKind::kPointer: {
       out.size = arch.pointer_size;
       out.align = std::min(arch.pointer_size, arch.max_align);
+      out.leaves.push_back({.kind = LayoutLeaf::Kind::kPointer, .pointee = desc.pointee()});
+      out.has_pointers = true;
       return out;
     }
     case TypeKind::kArray: {
@@ -63,8 +66,16 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
       auto elem = compute(arch, desc.element(), in_progress);
       in_progress.pop_back();
       if (!elem) return elem.status();
-      out.align = elem.value().align;
-      out.size = elem.value().size * desc.count();
+      const Layout& e = elem.value();
+      out.align = e.align;
+      out.size = e.size * desc.count();
+      out.leaves.reserve(e.leaves.size() + 1);
+      out.leaves.push_back({.kind = LayoutLeaf::Kind::kRepeat,
+                            .count = desc.count(),
+                            .body = static_cast<std::uint32_t>(e.leaves.size()),
+                            .stride = e.size});
+      out.leaves.insert(out.leaves.end(), e.leaves.begin(), e.leaves.end());
+      out.has_pointers = e.has_pointers;
       return out;
     }
     case TypeKind::kStruct: {
@@ -81,10 +92,19 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
           in_progress.pop_back();
           return fl.status();
         }
-        offset = align_up(offset, fl.value().align);
+        const Layout& f = fl.value();
+        offset = align_up(offset, f.align);
         out.field_offsets.push_back(offset);
-        offset += fl.value().size;
-        align = std::max(align, fl.value().align);
+        // Shift the field's top-level leaves to its offset; repeat bodies
+        // stay element-relative.
+        std::size_t i = out.leaves.size();
+        out.leaves.insert(out.leaves.end(), f.leaves.begin(), f.leaves.end());
+        for (; i < out.leaves.size(); i += 1 + out.leaves[i].body) {
+          out.leaves[i].offset += offset;
+        }
+        out.has_pointers = out.has_pointers || f.has_pointers;
+        offset += f.size;
+        align = std::max(align, f.align);
       }
       in_progress.pop_back();
       out.align = align;

@@ -43,33 +43,42 @@ Status encode_scalar(const ArchModel& arch, ScalarType s, const void* src,
 }
 
 Status decode_scalar(const ArchModel& arch, ScalarType s, void* dst, xdr::Decoder& dec) {
-  const std::uint32_t size = scalar_size(s);
   std::uint64_t raw = 0;
-  switch (s) {
-    case ScalarType::kI8:
-    case ScalarType::kI16:
-    case ScalarType::kI32:
-    case ScalarType::kU8:
-    case ScalarType::kU16:
-    case ScalarType::kU32:
-    case ScalarType::kF32:
-    case ScalarType::kBool: {
-      auto v = dec.get_u32();
-      if (!v) return v.status();
-      raw = v.value();
-      break;
-    }
-    case ScalarType::kI64:
-    case ScalarType::kU64:
-    case ScalarType::kF64: {
-      auto v = dec.get_u64();
-      if (!v) return v.status();
-      raw = v.value();
-      break;
+  if (xdr_scalar_bytes(s) == 4) {
+    auto v = dec.get_u32();
+    if (!v) return v.status();
+    raw = v.value();
+  } else {
+    auto v = dec.get_u64();
+    if (!v) return v.status();
+    raw = v.value();
+  }
+  write_scaled_uint(dst, scalar_size(s), arch.endian, raw);
+  return Status::ok();
+}
+
+// Canonical bytes of one value of the plan `leaves`, pointer fields
+// counted at `pointer_wire_bytes` each.
+std::uint64_t plan_wire_size(std::span<const LayoutLeaf> leaves,
+                             std::uint64_t pointer_wire_bytes) noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const LayoutLeaf& leaf = leaves[i];
+    switch (leaf.kind) {
+      case LayoutLeaf::Kind::kScalar:
+        total += xdr_scalar_bytes(leaf.scalar);
+        break;
+      case LayoutLeaf::Kind::kPointer:
+        total += pointer_wire_bytes;
+        break;
+      case LayoutLeaf::Kind::kRepeat:
+        total += leaf.count *
+                 plan_wire_size(leaves.subspan(i + 1, leaf.body), pointer_wire_bytes);
+        i += leaf.body;
+        break;
     }
   }
-  write_scaled_uint(dst, size, arch.endian, raw);
-  return Status::ok();
+  return total;
 }
 
 }  // namespace
@@ -95,129 +104,71 @@ Result<std::uint64_t> LongPointerFieldCodec::decode(xdr::Decoder& dec, TypeId po
 
 Status NullOnlyFieldCodec::encode(xdr::Encoder& enc, std::uint64_t ordinary,
                                   TypeId pointee) {
-  (void)enc;
   (void)pointee;
-  return failed_precondition("non-null pointer (0x" + std::to_string(ordinary) +
-                             ") where no pointers are allowed");
+  if (ordinary != 0) {
+    return failed_precondition("non-null pointer (0x" + std::to_string(ordinary) +
+                               ") where no pointers are allowed");
+  }
+  encode_long_pointer(enc, LongPointer::null());
+  return Status::ok();
 }
 
 Result<std::uint64_t> NullOnlyFieldCodec::decode(xdr::Decoder& dec, TypeId pointee) {
-  (void)dec;
   (void)pointee;
-  return failed_precondition("pointer field where no pointers are allowed");
+  auto lp = decode_long_pointer(dec);
+  if (!lp) return lp.status();
+  if (!lp.value().is_null()) {
+    return failed_precondition("non-null pointer " + lp.value().to_string() +
+                               " where no pointers are allowed");
+  }
+  return std::uint64_t{0};
 }
 
 Status ValueCodec::encode(const ArchModel& arch, TypeId type, const void* src,
                           xdr::Encoder& enc, PointerFieldCodec& ptr) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
+  auto layout = layouts.layout_of(arch, type);
+  if (!layout) return layout.status();
   const auto* bytes = static_cast<const std::uint8_t*>(src);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return encode_scalar(arch, desc.scalar(), src, enc);
-    case TypeKind::kPointer: {
-      const std::uint64_t ordinary =
-          read_scaled_uint(src, arch.pointer_size, arch.endian);
-      return ptr.encode(enc, ordinary, desc.pointee());
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(encode(arch, desc.element(), bytes + i * stride, enc, ptr));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(encode(arch, fields[i].type,
-                                    bytes + layout.value()->field_offsets[i], enc, ptr));
-      }
-      return Status::ok();
-    }
-  }
-  return internal_error("unreachable type kind");
+  return for_each_leaf(
+      layout.value()->leaves, 0,
+      [&](const LayoutLeaf& leaf, std::uint64_t offset) -> Status {
+        if (leaf.kind == LayoutLeaf::Kind::kScalar) {
+          return encode_scalar(arch, leaf.scalar, bytes + offset, enc);
+        }
+        return ptr.encode(enc, read_scaled_uint(bytes + offset, arch.pointer_size, arch.endian),
+                          leaf.pointee);
+      });
 }
 
 Status ValueCodec::decode(const ArchModel& arch, TypeId type, void* dst,
                           xdr::Decoder& dec, PointerFieldCodec& ptr) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
+  auto layout = layouts.layout_of(arch, type);
+  if (!layout) return layout.status();
   auto* bytes = static_cast<std::uint8_t*>(dst);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return decode_scalar(arch, desc.scalar(), dst, dec);
-    case TypeKind::kPointer: {
-      auto ordinary = ptr.decode(dec, desc.pointee());
-      if (!ordinary) return ordinary.status();
-      if (arch.pointer_size < 8 &&
-          ordinary.value() >= (1ULL << (8 * arch.pointer_size))) {
-        return internal_error("swizzled pointer does not fit " +
-                              std::to_string(arch.pointer_size) + "-byte pointer");
-      }
-      write_scaled_uint(dst, arch.pointer_size, arch.endian, ordinary.value());
-      return Status::ok();
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(decode(arch, desc.element(), bytes + i * stride, dec, ptr));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(decode(arch, fields[i].type,
-                                    bytes + layout.value()->field_offsets[i], dec, ptr));
-      }
-      return Status::ok();
-    }
-  }
-  return internal_error("unreachable type kind");
+  return for_each_leaf(
+      layout.value()->leaves, 0,
+      [&](const LayoutLeaf& leaf, std::uint64_t offset) -> Status {
+        if (leaf.kind == LayoutLeaf::Kind::kScalar) {
+          return decode_scalar(arch, leaf.scalar, bytes + offset, dec);
+        }
+        auto ordinary = ptr.decode(dec, leaf.pointee);
+        if (!ordinary) return ordinary.status();
+        if (arch.pointer_size < 8 &&
+            ordinary.value() >= (1ULL << (8 * arch.pointer_size))) {
+          return internal_error("swizzled pointer does not fit " +
+                                std::to_string(arch.pointer_size) + "-byte pointer");
+        }
+        write_scaled_uint(bytes + offset, arch.pointer_size, arch.endian, ordinary.value());
+        return Status::ok();
+      });
 }
 
 Result<std::uint64_t> ValueCodec::wire_size(TypeId type,
                                             std::uint64_t pointer_wire_bytes) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return static_cast<std::uint64_t>(scalar_size(desc.scalar()) <= 4 ? 4 : 8);
-    case TypeKind::kPointer:
-      return pointer_wire_bytes;
-    case TypeKind::kArray: {
-      auto elem = wire_size(desc.element(), pointer_wire_bytes);
-      if (!elem) return elem.status();
-      return elem.value() * desc.count();
-    }
-    case TypeKind::kStruct: {
-      if (desc.is_incomplete()) {
-        return failed_precondition("wire_size of incomplete struct: " + desc.name());
-      }
-      std::uint64_t total = 0;
-      for (const auto& f : desc.fields()) {
-        auto fs = wire_size(f.type, pointer_wire_bytes);
-        if (!fs) return fs.status();
-        total += fs.value();
-      }
-      return total;
-    }
-  }
-  return internal_error("unreachable type kind");
+  // The canonical form is arch-free, so any architecture's plan will do.
+  auto layout = layouts.layout_of(host_arch(), type);
+  if (!layout) return layout.status();
+  return plan_wire_size(layout.value()->leaves, pointer_wire_bytes);
 }
 
 }  // namespace srpc

@@ -3,8 +3,9 @@
 // environment ... except for the case of pointers, which must be unswizzled
 // and swizzled").
 //
-// encode() walks a TypeDescriptor over a memory image laid out for a given
-// ArchModel and emits canonical XDR; decode() does the reverse. Pointer
+// encode() walks a type's flattened Layout plan (LayoutLeaf list) over a
+// memory image laid out for a given ArchModel and emits canonical XDR;
+// decode() does the reverse. Pointer
 // fields are delegated to a PointerFieldCodec, because their wire form
 // depends on context: argument marshalling sends full long pointers
 // (LongPointerFieldCodec), while graph payloads use a compact tagged form
@@ -60,12 +61,20 @@ class LongPointerFieldCodec final : public PointerFieldCodec {
   PointerTranslator& translator_;
 };
 
-// Rejects any non-null pointer; for values that must be pointer-free.
+// For values that must be pointer-free: a null pointer field travels as the
+// null long pointer (16 bytes, as wire_size() assumes); any other pointer is
+// rejected with FAILED_PRECONDITION on either side.
 class NullOnlyFieldCodec final : public PointerFieldCodec {
  public:
   Status encode(xdr::Encoder& enc, std::uint64_t ordinary, TypeId pointee) override;
   Result<std::uint64_t> decode(xdr::Decoder& dec, TypeId pointee) override;
 };
+
+// Canonical XDR bytes of one scalar: RFC 4506 widens everything narrower
+// than a hyper to a 4-byte unit.
+[[nodiscard]] inline std::uint64_t xdr_scalar_bytes(ScalarType s) noexcept {
+  return scalar_size(s) <= 4 ? 4 : 8;
+}
 
 struct ValueCodec {
   const TypeRegistry& registry;

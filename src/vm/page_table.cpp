@@ -1,5 +1,7 @@
 #include "vm/page_table.hpp"
 
+#include <algorithm>
+
 namespace srpc {
 
 std::string_view to_string(PageState s) noexcept {
@@ -21,6 +23,7 @@ Status PageTable::transition(PageIndex page, PageState to) {
     return out_of_range("page " + std::to_string(page) + " outside table");
   }
   PageInfo& info = pages_[page];
+  touch(page);
   const PageState from = info.state;
   const bool legal = (from == PageState::kEmpty && to == PageState::kAllocated) ||
                      (from == PageState::kAllocated && to == PageState::kClean) ||
@@ -43,7 +46,9 @@ Status PageTable::transition(PageIndex page, PageState to) {
 
 std::vector<PageIndex> PageTable::pages_in_state(PageState s) const {
   std::vector<PageIndex> out;
-  for (std::size_t i = 0; i < pages_.size(); ++i) {
+  // Above the high-water mark every page is kEmpty.
+  const std::size_t end = s == PageState::kEmpty ? pages_.size() : high_water_;
+  for (std::size_t i = 0; i < end; ++i) {
     if (pages_[i].state == s) out.push_back(static_cast<PageIndex>(i));
   }
   return out;
@@ -55,7 +60,8 @@ void PageTable::snapshot_twin(PageIndex page, const std::uint8_t* bytes,
 }
 
 void PageTable::reset() {
-  for (auto& p : pages_) p = PageInfo{};
+  std::fill_n(pages_.begin(), high_water_, PageInfo{});
+  high_water_ = 0;
   twins_.clear();
 }
 

@@ -9,8 +9,12 @@
 // A page becomes *sealed* the moment it turns resident: once protection is
 // released, a first access to any further datum on it could no longer be
 // detected (paper §3.2), so no new locations may be allocated there.
+// Pages are handed out from index 0 up and recycled at session end, so
+// pages_in_state() and reset() only visit pages below a high-water mark of
+// those written through info() or transition() since the last reset().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +47,7 @@ class PageTable {
  public:
   explicit PageTable(std::size_t page_count) : pages_(page_count) {}
 
-  [[nodiscard]] PageInfo& info(PageIndex page) { return pages_.at(page); }
+  [[nodiscard]] PageInfo& info(PageIndex page) { return pages_.at(touch(page)); }
   [[nodiscard]] const PageInfo& info(PageIndex page) const { return pages_.at(page); }
   [[nodiscard]] std::size_t page_count() const noexcept { return pages_.size(); }
 
@@ -51,7 +55,7 @@ class PageTable {
   // manager's job (it owns the arena).
   Status transition(PageIndex page, PageState to);
 
-  // All pages currently in the given state.
+  // All pages currently in the given state, in index order.
   [[nodiscard]] std::vector<PageIndex> pages_in_state(PageState s) const;
 
   // Twin slots: a copy of a page's bytes taken the instant it turned
@@ -73,7 +77,13 @@ class PageTable {
   void reset();
 
  private:
+  PageIndex touch(PageIndex page) noexcept {
+    if (page < pages_.size()) high_water_ = std::max<std::size_t>(high_water_, page + 1);
+    return page;
+  }
+
   std::vector<PageInfo> pages_;
+  std::size_t high_water_ = 0;
   std::unordered_map<PageIndex, std::vector<std::uint8_t>> twins_;
 };
 

@@ -390,6 +390,46 @@ TEST_F(CacheManagerTest, InvalidateDropsEverything) {
   EXPECT_EQ(reinterpret_cast<const Node*>(again.value())->value, 1);
 }
 
+TEST_F(CacheManagerTest, PagesDirtiedAfterInvalidationAreStillCollected) {
+  put_node(home_a_, 0x1000, 0, 1);
+  put_node(home_b_, 0x2000, 0, 2);
+  const TypeId big = registry_.array_of(TypeRegistry::scalar_id(ScalarType::kI64),
+                                        1500);  // 3 pages
+  home_a_.put(0x8000, big, std::vector<std::uint8_t>(12000, 0));
+  auto cache = make_cache();
+
+  // Session 1 dirties one page.
+  auto p = cache->swizzle({kHomeA, 0x1000, node_}, node_);
+  ASSERT_TRUE(p.is_ok());
+  reinterpret_cast<Node*>(p.value())->value = 10;
+  ASSERT_EQ(cache->collect_modified().size(), 1u);
+  cache->invalidate_all();
+  EXPECT_TRUE(cache->collect_modified().empty());
+
+  // Session 2 reaches further into the arena than session 1 did: the
+  // large datum takes pages 0..2, so the node lands above them.
+  auto arr = cache->swizzle({kHomeA, 0x8000, big}, big);
+  ASSERT_TRUE(arr.is_ok());
+  auto q = cache->swizzle({kHomeB, 0x2000, node_}, node_);
+  ASSERT_TRUE(q.is_ok());
+  const auto* entry = cache->lookup({kHomeB, 0x2000, node_});
+  ASSERT_NE(entry, nullptr);
+  EXPECT_GE(entry->page, 3u);
+  reinterpret_cast<Node*>(q.value())->value = 20;
+  reinterpret_cast<std::int64_t*>(arr.value())[1499] = 7;  // last page of the run
+
+  auto modified = cache->collect_modified();
+  ASSERT_EQ(modified.size(), 2u);
+  auto deltas = cache->collect_modified_deltas();
+  ASSERT_EQ(deltas.size(), 2u);
+  for (const auto& d : deltas) {
+    EXPECT_TRUE(d.has_baseline);
+    ASSERT_EQ(d.dirty.size(), 1u);
+  }
+  cache->invalidate_all();
+  EXPECT_TRUE(cache->collect_modified().empty());
+}
+
 TEST_F(CacheManagerTest, FetchFailureFailsTheFault) {
   auto cache = make_cache();
   // Swizzle a pointer to a datum the home does not have (dangling).

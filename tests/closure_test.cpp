@@ -89,7 +89,7 @@ TEST_F(ClosureTest, WalkPointerFieldsFindsEveryPointer) {
   Node leaf{nullptr, nullptr, 3};
   Node root{&leaf, nullptr, 1};
   std::vector<std::pair<std::uint64_t, TypeId>> seen;
-  ASSERT_TRUE(walk_pointer_fields(registry_, layouts_, host_arch(), node_, &root,
+  ASSERT_TRUE(walk_pointer_fields(layouts_, host_arch(), node_, &root,
                                   [&](std::uint64_t p, TypeId t) -> Status {
                                     seen.emplace_back(p, t);
                                     return Status::ok();

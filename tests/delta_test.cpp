@@ -7,6 +7,7 @@
 
 #include "common/byte_range.hpp"
 #include "core/cache_manager.hpp"
+#include "core/modified_set.hpp"
 #include "core/smart_rpc.hpp"
 #include "rpc/wire.hpp"
 #include "workload/list.hpp"
@@ -49,13 +50,45 @@ TEST(ByteRangeTest, DiffFindsChangedRunsAndAbsorbsSmallGaps) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(ByteRangeTest, IntersectionRequiresActualOverlap) {
+TEST(ByteRangeTest, BytesCountsEveryRange) {
   const std::vector<ByteRange> a{{0, 4}, {16, 8}};
-  const std::vector<ByteRange> b{{4, 8}, {24, 4}};
-  const std::vector<ByteRange> c{{20, 2}};
-  EXPECT_FALSE(ranges_intersect(a, b));  // all touching, none overlapping
-  EXPECT_TRUE(ranges_intersect(a, c));
   EXPECT_EQ(ranges_bytes(a), 12u);
+}
+
+// Pointer-field hazard: which dirty ranges would ship swizzled pointer
+// bytes raw. The runtime's size fallback hides this for small objects, so
+// it is checked directly on an object where a delta beats a full image.
+TEST(PointerHazardTest, DirtyRangesThatTouchPointerFields) {
+  TypeRegistry registry;
+  LayoutEngine layouts(registry);
+  const TypeId i64 = TypeRegistry::scalar_id(ScalarType::kI64);
+  const TypeId node = registry.declare_struct("HNode").value();
+  const TypeId ptr = registry.pointer_to(node);
+  registry
+      .define_struct(node, {{"a", i64}, {"p", ptr}, {"pad", registry.array_of(i64, 8)},
+                            {"q", ptr}})
+      .check();
+  const TypeId plain = registry.register_struct("HPlain", {{"a", i64}}).value();
+  const auto touches = [&](const ArchModel& arch, TypeId type,
+                           std::vector<ByteRange> dirty) {
+    auto hit = touches_pointer_field(layouts, arch, type, dirty);
+    EXPECT_TRUE(hit.is_ok());
+    return hit.is_ok() && hit.value();
+  };
+  // Host: a@0, p@8, pad@16..80, q@80.
+  EXPECT_FALSE(touches(host_arch(), node, {{0, 8}, {16, 64}}));  // adjacent only
+  EXPECT_TRUE(touches(host_arch(), node, {{15, 1}}));
+  EXPECT_TRUE(touches(host_arch(), node, {{0, 4}, {20, 4}, {84, 1}}));
+  // SPARC: p is 4 bytes (8..12); 12..16 is padding.
+  EXPECT_FALSE(touches(sparc32_arch(), node, {{12, 4}}));
+  EXPECT_TRUE(touches(sparc32_arch(), node, {{11, 1}}));
+  // Arrays of the struct: element 5's q field.
+  const TypeId arr = registry.array_of(node, 10);
+  EXPECT_TRUE(touches(host_arch(), arr, {{5 * 88 + 80, 8}}));
+  EXPECT_FALSE(touches(host_arch(), arr, {{5 * 88 + 16, 64}}));
+  EXPECT_FALSE(touches(host_arch(), plain, {{0, 8}}));
+  EXPECT_EQ(touches_pointer_field(layouts, host_arch(), 9999, {}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(ByteRangeTest, FingerprintTracksCoveredContent) {

@@ -85,15 +85,15 @@ TEST(SimNetwork, ChargesClockAndCountsMessages) {
   const std::uint64_t wire = kMessageHeaderWireSize + 68;
   // send() charges only the sender-side marshal cost (zero in this model);
   // transit + delivery ride on the message as its arrival timestamp, which
-  // the receiver applies with advance_to when it picks the message up.
+  // the receiver applies with deliver() when it picks the message up.
   EXPECT_EQ(net.clock().now(), 0u);
   auto item = box.try_pop();
   ASSERT_TRUE(item.has_value());
   const Message& delivered = std::get<Message>(*item);
   EXPECT_EQ(delivered.arrive_ns, 1000 + wire);
-  net.clock().advance_to(delivered.arrive_ns);
+  net.deliver(net.clock_of(1), delivered.arrive_ns);
   EXPECT_EQ(net.clock().now(), 1000 + wire);
-  net.charge_fault();
+  net.charge_fault(net.clock_of(1));
   EXPECT_EQ(net.clock().now(), 1000 + wire + 500);
 
   auto stats = net.stats();
@@ -119,6 +119,40 @@ TEST(SimNetwork, SerializesConcurrentSendsOnTheLink) {
   // wire time even though both were issued at virtual time zero.
   EXPECT_EQ(std::get<Message>(*first).arrive_ns, wire + 1000);
   EXPECT_EQ(std::get<Message>(*second).arrive_ns, 2 * wire + 1000);
+}
+
+TEST(SimNetwork, LinkCarriesFramesInSenderClockOrder) {
+  SimNetwork net(CostModel{1000, 1, 0, 0});
+  Mailbox box0;
+  Mailbox box1;
+  Mailbox box2;
+  net.attach(0, &box0);
+  net.attach(1, &box1);
+  net.attach(2, &box2);
+  const std::uint64_t wire = kMessageHeaderWireSize + 68;
+  ASSERT_LT(3 * wire, 1000u);
+  const auto arrival = [](Mailbox& box) {
+    auto item = box.try_pop();
+    EXPECT_TRUE(item.has_value());
+    return item ? std::get<Message>(*item).arrive_ns : 0;
+  };
+  // Space 0's request holds the link over [0, wire).
+  ASSERT_TRUE(net.send(make_message(MessageType::kCall, 0, 1, 1, 68)).is_ok());
+  const std::uint64_t request = arrival(box1);
+  EXPECT_EQ(request, wire + 1000);
+  // Space 1 takes it and answers before space 0 sends again: its reply
+  // departs on space 1's clock and moves the world clock.
+  net.deliver(net.clock_of(1), request);
+  ASSERT_TRUE(net.send(make_message(MessageType::kReturn, 1, 0, 1, 68)).is_ok());
+  EXPECT_EQ(arrival(box0), request + wire + 1000);
+  EXPECT_EQ(net.clock().now(), request);
+  // Space 0's second request is ready at its own time 0: it takes the gap
+  // right behind its first frame, not the link after the later reply.
+  ASSERT_TRUE(net.send(make_message(MessageType::kCall, 0, 2, 2, 68)).is_ok());
+  EXPECT_EQ(arrival(box2), 2 * wire + 1000);
+  // The medium is shared: space 2, also ready at 0, waits for both frames.
+  ASSERT_TRUE(net.send(make_message(MessageType::kCall, 2, 1, 3, 68)).is_ok());
+  EXPECT_EQ(arrival(box1), 3 * wire + 1000);
 }
 
 TEST(SimNetwork, RejectsUnknownDestination) {

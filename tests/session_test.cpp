@@ -103,6 +103,40 @@ TEST_F(SessionTest, SequentialSessionsStartFromCleanCaches) {
   });
 }
 
+TEST_F(SessionTest, MetricsSeriesCountStaysConstantAcrossSessions) {
+  const auto series = [](Runtime& rt) {
+    (void)rt.metrics_json();  // folds the stats structs into the registry
+    const MetricsRegistry& m = rt.metrics();
+    return m.counters().size() + m.gauges().size() + m.histograms().size();
+  };
+  ListNode* head = nullptr;
+  const auto run_sessions = [&](Runtime& rt, int n) {
+    for (int i = 0; i < n; ++i) {
+      Session session(rt);
+      ASSERT_TRUE(session.call<std::int64_t>(b_->id(), "sum", head).is_ok());
+      ASSERT_TRUE(session.end().is_ok());
+    }
+  };
+  std::size_t a_before = 0;
+  std::size_t b_before = 0;
+  a_->run([&](Runtime& rt) {
+    auto list = workload::build_list(rt, 4, [](std::uint32_t i) {
+      return static_cast<std::int64_t>(i);
+    });
+    ASSERT_TRUE(list.is_ok());
+    head = list.value();
+    run_sessions(rt, 3);
+    a_before = series(rt);
+  });
+  b_->run([&](Runtime& rt) { b_before = series(rt); });
+  a_->run([&](Runtime& rt) {
+    run_sessions(rt, 100);
+    EXPECT_EQ(series(rt), a_before);
+    EXPECT_EQ(rt.metrics().histograms().at("session.commit_ns").count(), 103u);
+  });
+  b_->run([&](Runtime& rt) { EXPECT_EQ(series(rt), b_before); });
+}
+
 TEST_F(SessionTest, CrossSessionRemotePointerFaultsAreDetected) {
   ListNode* stale = nullptr;
   b_->bind("give_one",

@@ -229,6 +229,43 @@ TEST_F(ValueCodecTest, NullOnlyCodecRejectsPointers) {
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ValueCodecTest, NullOnlyCodecRoundTripsNullPointers) {
+  auto node = registry_.declare_struct("Q");
+  ASSERT_TRUE(node.is_ok());
+  ASSERT_TRUE(registry_
+                  .define_struct(node.value(),
+                                 {{"p", registry_.pointer_to(mix_)},
+                                  {"v", TypeRegistry::scalar_id(ScalarType::kI64)}})
+                  .is_ok());
+  struct Q {
+    void* p;
+    std::int64_t v;
+  };
+  Q in{nullptr, -42};
+  ByteBuffer wire;
+  xdr::Encoder enc(wire);
+  NullOnlyFieldCodec no_pointers;
+  ASSERT_TRUE(codec_.encode(host_arch(), node.value(), &in, enc, no_pointers).is_ok());
+  auto size = codec_.wire_size(node.value());
+  ASSERT_TRUE(size.is_ok());
+  EXPECT_EQ(wire.size(), size.value());  // the null long pointer is 16 bytes
+
+  Q out{reinterpret_cast<void*>(0x1), 0};
+  xdr::Decoder dec(wire);
+  ASSERT_TRUE(codec_.decode(host_arch(), node.value(), &out, dec, no_pointers).is_ok());
+  EXPECT_EQ(out.p, nullptr);
+  EXPECT_EQ(out.v, -42);
+
+  // A non-null long pointer on the wire is refused on decode.
+  ByteBuffer foreign;
+  xdr::Encoder fenc(foreign);
+  encode_long_pointer(fenc, LongPointer{1, 0x1000, mix_});
+  fenc.put_u64(0);
+  xdr::Decoder fdec(foreign);
+  EXPECT_EQ(codec_.decode(host_arch(), node.value(), &out, fdec, no_pointers).code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(HostStructBuilder, ArrayAndNestedFields) {
   struct Inner {
     std::int32_t x;

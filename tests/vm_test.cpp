@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "vm/fault_dispatcher.hpp"
 #include "vm/page_arena.hpp"
@@ -77,6 +78,52 @@ TEST(PageTable, ResetClearsEverything) {
   EXPECT_EQ(table.info(1).state, PageState::kEmpty);
   EXPECT_EQ(table.info(1).bump, 0u);
   EXPECT_EQ(table.pages_in_state(PageState::kAllocated).size(), 0u);
+}
+
+TEST(PageTable, ScanAndResetReachTheArenaEndAndMultiPageData) {
+  PageTable table(16384);
+  // A datum spanning pages 100..103, and one on the arena's last page.
+  std::vector<PageIndex> dirty = {100, 101, 102, 103, 16383};
+  for (const PageIndex p : dirty) {
+    table.info(p).bump = 4096;
+    ASSERT_TRUE(table.transition(p, PageState::kAllocated).is_ok());
+    ASSERT_TRUE(table.transition(p, PageState::kDirty).is_ok());
+  }
+  EXPECT_EQ(table.pages_in_state(PageState::kDirty), dirty);
+  EXPECT_EQ(table.pages_in_state(PageState::kEmpty).size(), 16384u - dirty.size());
+  table.reset();
+  EXPECT_TRUE(table.pages_in_state(PageState::kDirty).empty());
+  EXPECT_EQ(table.pages_in_state(PageState::kEmpty).size(), 16384u);
+  const PageTable& view = table;
+  for (const PageIndex p : dirty) {
+    EXPECT_EQ(view.info(p).state, PageState::kEmpty);
+    EXPECT_EQ(view.info(p).bump, 0u);
+    EXPECT_FALSE(view.info(p).sealed);
+  }
+}
+
+TEST(PageTable, PagesAboveTheMarkStayEmptyAcrossResets) {
+  PageTable table(64);
+  const PageTable& view = table;
+  for (const std::size_t used : {10u, 3u, 20u, 1u}) {
+    for (PageIndex p = 0; p < used; ++p) {
+      table.info(p).origin = 7;
+      ASSERT_TRUE(table.transition(p, PageState::kAllocated).is_ok());
+      ASSERT_TRUE(table.transition(p, PageState::kClean).is_ok());
+    }
+    EXPECT_EQ(table.pages_in_state(PageState::kClean).size(), used);
+    EXPECT_EQ(table.pages_in_state(PageState::kEmpty).size(), 64u - used);
+    for (PageIndex p = static_cast<PageIndex>(used); p < 64; ++p) {
+      EXPECT_EQ(view.info(p).state, PageState::kEmpty) << p;
+      EXPECT_EQ(view.info(p).origin, kInvalidSpaceId) << p;
+      EXPECT_FALSE(view.info(p).sealed) << p;
+    }
+    // Bookkeeping written on a page that never changed state is cleared
+    // too (checked by the next cycle's loop above).
+    table.info(static_cast<PageIndex>(used + 5)).origin = 9;
+    table.reset();
+    EXPECT_EQ(table.pages_in_state(PageState::kEmpty).size(), 64u);
+  }
 }
 
 // A fault handler that fills the page with a marker and opens it.
