@@ -230,6 +230,9 @@ Result<void*> CacheManager::allocate_resident(const LongPointer& provisional,
       SRPC_RETURN_IF_ERROR(arena_.protect(p, PageProtection::kReadWrite));
     }
   }
+  // Zero-initialised like ManagedHeap::allocate: the slot may still hold
+  // what an earlier session cached there (invalidation only re-protects).
+  std::memset(entry.value().local, 0, entry.value().size);
   return static_cast<void*>(entry.value().local);
 }
 

@@ -1,9 +1,65 @@
 #include "core/closure.hpp"
 
-#include <deque>
-#include <unordered_set>
+#include <bit>
+#include <utility>
 
 namespace srpc {
+
+namespace {
+
+// Open-addressing visited set for one traversal: linear probing over a
+// power-of-two array, at most half full. `empty` marks free cells; the key
+// equal to it is tracked on the side.
+template <typename Key, typename Hash>
+class FlatSet {
+ public:
+  explicit FlatSet(Key empty) : empty_(empty), cells_(64, empty) {}
+
+  // True if `key` was not yet present.
+  bool insert(const Key& key) {
+    if (key == empty_) return !std::exchange(has_empty_, true);
+    if ((size_ + 1) * 2 > cells_.size()) grow();
+    Key& cell = cells_[find(key)];
+    if (cell == key) return false;
+    cell = key;
+    ++size_;
+    return true;
+  }
+
+  [[nodiscard]] bool contains(const Key& key) const {
+    if (key == empty_) return has_empty_;
+    return cells_[find(key)] == key;
+  }
+
+ private:
+  // Index of the cell holding `key`, or of the free cell where it belongs.
+  [[nodiscard]] std::size_t find(const Key& key) const {
+    const std::size_t mask = cells_.size() - 1;
+    const int shift = 64 - std::countr_zero(cells_.size());
+    std::size_t i = (Hash{}(key) * 0x9E3779B97F4A7C15ULL) >> shift;
+    while (!(cells_[i] == empty_) && !(cells_[i] == key)) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    std::vector<Key> old =
+        std::exchange(cells_, std::vector<Key>(cells_.size() * 2, empty_));
+    for (const Key& key : old) {
+      if (!(key == empty_)) cells_[find(key)] = key;
+    }
+  }
+
+  Key empty_;
+  bool has_empty_ = false;
+  std::size_t size_ = 0;
+  std::vector<Key> cells_;
+};
+
+struct AddressHash {
+  std::uint64_t operator()(std::uint64_t addr) const noexcept { return addr; }
+};
+
+}  // namespace
 
 Status walk_pointer_fields(
     const LayoutEngine& layouts, const ArchModel& arch, TypeId type, const void* src,
@@ -26,9 +82,11 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
                                           std::uint64_t budget_bytes,
                                           bool require_roots) const {
   PackedClosure out;
-  std::deque<std::uint64_t> queue;
-  std::unordered_set<std::uint64_t> enqueued;
-  std::unordered_set<LongPointer, LongPointerHash> included;
+  // Breadth-first pops at `head`, depth-first at the back.
+  std::vector<std::uint64_t> queue;
+  std::size_t head = 0;
+  FlatSet<std::uint64_t, AddressHash> enqueued(~std::uint64_t{0});
+  FlatSet<LongPointer, LongPointerHash> included(LongPointer::null());
 
   // Adds one readable datum to the result and queues its pointer targets.
   auto add_datum = [&](const LocalDataView::DatumView& datum) -> Status {
@@ -39,7 +97,7 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
         codec_.layouts, arch_, datum.id.type, datum.image,
         [&](std::uint64_t target, TypeId pointee) -> Status {
           (void)pointee;
-          if (enqueued.insert(target).second) queue.push_back(target);
+          if (enqueued.insert(target)) queue.push_back(target);
           return Status::ok();
         });
   };
@@ -50,7 +108,7 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
   // else, so a budget of zero sends pure pointers: the receiving page
   // "contains no data at this time" (paper §3.2, Fig. 2).
   for (const std::uint64_t root : roots) {
-    if (!enqueued.insert(root).second) continue;
+    if (!enqueued.insert(root)) continue;
     auto view = view_.view_local(root);
     if (!view) {
       if (require_roots) return view.status();
@@ -75,11 +133,10 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
   }
 
   // Bounded traversal of the children (the eagerness knob, §3.3).
-  while (!queue.empty()) {
+  while (head < queue.size()) {
     std::uint64_t addr = 0;
     if (order_ == TraversalOrder::kBreadthFirst) {
-      addr = queue.front();
-      queue.pop_front();
+      addr = queue[head++];
     } else {
       addr = queue.back();
       queue.pop_back();

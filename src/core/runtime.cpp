@@ -673,12 +673,21 @@ Status Runtime::attach_closures(ByteBuffer& out, std::span<const std::uint64_t> 
   }
   auto packed = packer_.pack(roots, cache().closure_bytes(), /*require_roots=*/false);
   if (!packed) return packed.status();
+  note_shipped_reads(current_session(), packed.value());
   enc.put_u32(static_cast<std::uint32_t>(packed.value().groups.size()));
   for (const auto& [space, refs] : packed.value().groups) {
     SRPC_RETURN_IF_ERROR(
         encode_graph_payload(codec_, arch_, space, refs, *this, out));
   }
   return Status::ok();
+}
+
+void Runtime::note_shipped_reads(SessionId session, const PackedClosure& packed) {
+  if (!multi_session_ || session == kNoSession) return;
+  auto own = packed.groups.find(self_);
+  if (own == packed.groups.end()) return;
+  // Reads are never refused — conflicts surface at commit, not here.
+  for (const GraphObjectRef& ref : own->second) arbiter_.note_read(session, ref.addr);
 }
 
 Status Runtime::apply_closures(ByteBuffer& in) {
@@ -2140,24 +2149,14 @@ Status Runtime::serve_fetch(Message msg) {
     }
   }
 
-  if (multi_session_ && msg.session != kNoSession) {
-    // Record what the session observed: shared lock + version snapshot,
-    // validated against its write manifest at WB_PREPARE time. Reads are
-    // never refused — conflicts surface at commit, not here.
-    for (const std::uint64_t addr : roots) {
-      const ManagedHeap::Record* record =
-          heap_.find(reinterpret_cast<const void*>(addr));
-      if (record != nullptr) {
-        arbiter_.note_read(msg.session,
-                           reinterpret_cast<std::uint64_t>(record->base));
-      }
-    }
-  }
-
   auto packed = packer_.pack(roots, budget.value(), /*require_roots=*/true);
   if (!packed) {
     return send_error(msg.from, msg.session, msg.seq, packed.status());
   }
+  // Record what the session observed — the roots and everything shipped
+  // with them: shared lock + version snapshot, validated against its write
+  // manifest at WB_PREPARE time.
+  note_shipped_reads(msg.session, packed.value());
 
   Message reply;
   reply.type = MessageType::kFetchReply;

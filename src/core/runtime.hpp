@@ -637,6 +637,11 @@ class Runtime final : public PageFetcher,
                              std::vector<ShippedRecord>* shipped = nullptr);
   Status attach_closures(ByteBuffer& out, std::span<const std::uint64_t> roots);
 
+  // Multi-session mode: `session` observed every self-homed object in
+  // `packed` (it leaves here in a FETCH reply or a call's closure), so a
+  // later commit by another session invalidates that read at WB_PREPARE.
+  void note_shipped_reads(SessionId session, const PackedClosure& packed);
+
   // Records that `dest` now holds the listed content.
   void commit_shipped(SpaceId dest, const std::vector<ShippedRecord>& shipped);
 

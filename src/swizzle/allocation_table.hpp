@@ -7,16 +7,19 @@
 //
 // The table is also the swizzling index: forward lookups map a long pointer
 // to its assigned cache location (so a pointer received twice swizzles to
-// the same ordinary pointer), and the reverse interval map turns any cache
-// address back into its long pointer — which is what makes unswizzling, and
-// therefore nested RPC and callbacks, work (paper §3.3).
+// the same ordinary pointer), and the reverse interval lookup turns any
+// cache address back into its long pointer — which is what makes
+// unswizzling, and therefore nested RPC and callbacks, work (paper §3.3).
+//
+// The table is filled and emptied once per session, so every index is flat
+// and recycled: entries live in chunks that clear() keeps, the identity
+// index is one open-addressing array, interval lookups go through 4 KiB
+// window buckets, and the page index is a vector. A steady-state session
+// allocates nothing here, and clear() touches only what the session did.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -41,7 +44,8 @@ class DataAllocationTable {
 
   // Records a new swizzled location. `page_count` registers the entry on
   // that many consecutive pages starting at entry.page (large data).
-  // Fails if the long pointer or the local range is already present.
+  // Fails if the long pointer is already present or the local or home range
+  // overlaps an entry's.
   Status insert(const AllocationEntry& entry, std::uint32_t page_count = 1);
 
   // Long pointer -> entry (nullptr if never swizzled here). Exact match on
@@ -63,10 +67,11 @@ class DataAllocationTable {
 
   // Re-keys a provisional long pointer (batched extended_malloc, paper
   // §3.5) to the home-assigned identity once the batch reply arrives.
+  // Fails if another entry already holds the target identity.
   Status rebind(const LongPointer& provisional, const LongPointer& actual);
 
-  // Drops an entry (extended_free): removed from every index; the cache
-  // slot itself is not reused until session end.
+  // Drops an entry (extended_free): removed from every index; its storage
+  // and the cache slot are not reused until session end.
   Status remove(const LongPointer& pointer);
 
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
@@ -74,15 +79,63 @@ class DataAllocationTable {
   void clear();
 
  private:
-  // Deque-like stability: entry storage is only reclaimed wholesale at
-  // session end, so raw pointers into storage_ are stable for the session.
-  std::vector<std::unique_ptr<AllocationEntry>> storage_;
+  struct Slot {
+    AllocationEntry entry;
+    std::uint32_t page_count = 0;
+    std::uint32_t id_pos = 0;  // position in ids_, kept current as it moves
+    bool live = false;
+  };
+
+  // One address range per key — the cache (key 0) or a home space — cut
+  // into 4 KiB windows. Each window lists, sorted by base, every entry whose
+  // range covers part of it, so an interval query reads one bucket.
+  // Buckets keep their capacity across clear().
+  class WindowIndex {
+   public:
+    struct Ref {
+      std::uint64_t base;
+      Slot* slot;
+    };
+    // Lists `slot` (range [base, last]) in every window the range covers.
+    void add(std::uint32_t key, std::uint64_t base, std::uint64_t last, Slot* slot);
+    void erase(std::uint32_t key, std::uint64_t base, std::uint64_t last,
+               const Slot* slot);
+    [[nodiscard]] bool overlaps(std::uint32_t key, std::uint64_t base,
+                                std::uint64_t last) const;
+    [[nodiscard]] const Slot* containing(std::uint32_t key, std::uint64_t addr) const;
+    void clear();
+
+   private:
+    struct Bucket {
+      std::uint32_t key = 0;
+      std::uint32_t pos = 0;  // position in index_
+      std::uint64_t window = 0;
+      std::vector<Ref> refs;
+    };
+    [[nodiscard]] const Bucket* find(std::uint32_t key, std::uint64_t window) const;
+    Bucket& get(std::uint32_t key, std::uint64_t window);
+
+    std::vector<Bucket> buckets_;  // the first used_ hold this session's windows
+    std::size_t used_ = 0;
+    std::vector<std::uint32_t> index_;  // open addressing: bucket + 1, 0 = empty
+  };
+
+  [[nodiscard]] Slot* find_slot(SpaceId space, std::uint64_t address) const;
+  void index_identity(Slot* slot);
+  void unindex_identity(Slot* slot);
+  void index_pages(Slot* slot);
+  void unindex_pages(const Slot* slot);
+
+  static constexpr std::size_t kChunk = 256;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;  // stable, kept across clear()
+  std::size_t used_ = 0;  // slots handed out since the last clear()
   std::size_t live_ = 0;
-  std::unordered_map<LongPointer, AllocationEntry*, LongPointerHash> by_pointer_;
-  std::map<std::uintptr_t, AllocationEntry*> by_local_;  // keyed by local base
-  std::unordered_map<PageIndex, std::vector<AllocationEntry*>> by_page_;
-  // keyed by (home space, home base address) for interval queries
-  std::map<std::pair<SpaceId, std::uint64_t>, AllocationEntry*> by_home_;
+  // Identity index keyed by (home space, home base address): the type is
+  // not part of a datum's identity. Linear probing, at most half full.
+  std::vector<Slot*> ids_;
+  std::vector<std::vector<AllocationEntry*>> pages_;  // by page, sorted by local
+  WindowIndex local_windows_;
+  WindowIndex home_windows_;
 };
 
 }  // namespace srpc

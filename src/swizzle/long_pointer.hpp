@@ -5,7 +5,7 @@
 //   - an address valid within that space, and
 //   - a data type specifier (so heterogeneous spaces can rebuild the value).
 // Hardware only dereferences ordinary pointers, so long pointers exist on
-// the wire and in runtime tables; the Swizzler translates between the two.
+// the wire and in runtime tables; the cache translates between the two.
 #pragma once
 
 #include <cstdint>

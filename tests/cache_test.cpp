@@ -308,6 +308,25 @@ TEST_F(CacheManagerTest, AllocateResidentIsBornDirtyAndRebinds) {
   EXPECT_EQ(modified[0].id.address, 0x9000u);
 }
 
+TEST_F(CacheManagerTest, AllocateResidentIsZeroedAfterInvalidation) {
+  put_node(home_a_, 0x1000, 0, -1);
+  auto cache = make_cache();
+  auto p = cache->swizzle({kHomeA, 0x1000, node_}, node_);
+  ASSERT_TRUE(p.is_ok());
+  EXPECT_EQ(reinterpret_cast<const Node*>(p.value())->value, -1);  // cached
+  cache->invalidate_all();
+
+  // The next session's extended_malloc lands on the same slot and must not
+  // see the previous session's bytes.
+  const LongPointer provisional{kHomeA, (1ULL << 63) | 1, node_};
+  auto slot = cache->allocate_resident(provisional, sizeof(Node), alignof(Node));
+  ASSERT_TRUE(slot.is_ok()) << slot.status().to_string();
+  ASSERT_EQ(reinterpret_cast<std::uint64_t>(slot.value()), p.value());
+  const Node* n = static_cast<const Node*>(slot.value());
+  EXPECT_EQ(n->next, nullptr);
+  EXPECT_EQ(n->value, 0);
+}
+
 TEST_F(CacheManagerTest, SealedPageRefusesNewAllocations) {
   put_node(home_a_, 0x1000, 0, 1);
   auto cache = make_cache();

@@ -161,6 +161,52 @@ TEST_F(ClosureTest, DepthFirstDivesDownOneSpine) {
   EXPECT_GE(last->data, 7);
 }
 
+// Indices of the packed objects, in packing order.
+std::vector<std::int64_t> packed_sequence(const PackedClosure& packed, SpaceId home) {
+  std::vector<std::int64_t> out;
+  for (const GraphObjectRef& ref : packed.groups.at(home)) {
+    out.push_back(static_cast<const Node*>(ref.src)->data);
+  }
+  return out;
+}
+
+// Reference depth-first order over the heap-shaped tree: the packer stacks
+// a node's left then right child, so the right subtree comes out first.
+void reference_dfs(std::uint32_t i, std::uint32_t n, std::vector<std::int64_t>& out) {
+  if (i >= n) return;
+  out.push_back(i);
+  reference_dfs(2 * i + 2, n, out);
+  reference_dfs(2 * i + 1, n, out);
+}
+
+TEST_F(ClosureTest, LargeTreePacksInReferenceOrder) {
+  constexpr std::uint32_t kNodes = 4095;
+  Node* root = build_tree(kNodes, 1);
+  const std::uint64_t roots[] = {addr_of(root)};
+  const std::uint64_t per_node = graph_object_wire_size(codec_, node_).value();
+
+  std::vector<std::int64_t> bfs(kNodes);  // level order = array order
+  for (std::uint32_t i = 0; i < kNodes; ++i) bfs[i] = i;
+  std::vector<std::int64_t> dfs;
+  reference_dfs(0, kNodes, dfs);
+
+  for (const auto& [order, expected] :
+       {std::pair{TraversalOrder::kBreadthFirst, bfs},
+        std::pair{TraversalOrder::kDepthFirst, dfs}}) {
+    ClosurePacker packer(codec_, host_arch(), view_, order);
+    // Whole tree, then a budget that stops the traversal part-way through.
+    for (const std::uint64_t budget : {per_node * kNodes, per_node * 1000}) {
+      auto packed = packer.pack(roots, budget, /*require_roots=*/true);
+      ASSERT_TRUE(packed.is_ok());
+      const std::size_t count = budget / per_node;
+      const std::vector<std::int64_t> want(expected.begin(),
+                                           expected.begin() + static_cast<std::ptrdiff_t>(count));
+      EXPECT_EQ(packed_sequence(packed.value(), 1), want)
+          << (order == TraversalOrder::kBreadthFirst ? "BFS" : "DFS") << " budget " << budget;
+    }
+  }
+}
+
 TEST_F(ClosureTest, SharedNodesPackOnce) {
   // A diamond: root -> {a, b} -> shared.
   Node shared{nullptr, nullptr, 99};

@@ -6,6 +6,8 @@
 //  * write-write conflict: exactly one loser, whose retry succeeds, in
 //    both wound-wait directions (older wounds younger; younger meets an
 //    older holder and loses immediately)
+//  * a stale write to an object that only travelled in a FETCH closure
+//    (not as a root) loses at prepare instead of overwriting a commit
 //  * a three-session read/write cycle resolves without deadlock
 //  * sibling teardown isolation: aborting one session on a space leaves
 //    its siblings' caches and commits untouched
@@ -204,6 +206,39 @@ TEST_F(MultiSessionTest, YoungerWriterMeetsOlderReaderAndLosesImmediately) {
   const ArbiterStats stats = home_arbiter_stats();
   EXPECT_EQ(stats.conflicts, 1u);
   EXPECT_GE(stats.lock_waits, 1u);
+  expect_no_leaks();
+}
+
+TEST_F(MultiSessionTest, ClosureShippedReadsAreValidatedAtPrepare) {
+  build_world(/*faults=*/false);
+  // Only the list head is a FETCH root; the prefetch budget ships the rest
+  // of the list in the same reply. A session that read a closure-shipped
+  // node and writes it after an older session committed over it must lose
+  // at prepare, or the older session's update is silently overwritten.
+  g1_->run([](Runtime& rt) {
+    ListNode* head = dirty_list(rt, 0, 0);
+    head->next->value = 1111;
+  });
+  ListNode* head = nullptr;
+  std::int64_t stale = 0;
+  g2_->run([&](Runtime& rt) {
+    ASSERT_TRUE(rt.begin_session().is_ok());
+    auto listed = typed_call<ListNode*>(rt, 0, "list", std::int64_t{0});
+    ASSERT_TRUE(listed.is_ok()) << listed.status().to_string();
+    head = listed.value();
+    ASSERT_TRUE(rt.prefetch(head, 1 << 16).is_ok());
+    stale = head->next->value;
+  });
+  EXPECT_EQ(stale, 1);
+  g1_->run([](Runtime& rt) { ASSERT_TRUE(rt.end_session().is_ok()); });
+  g2_->run([&](Runtime& rt) {
+    head->next->value = stale + 1;
+    Status ended = rt.end_session();
+    ASSERT_FALSE(ended.is_ok());
+    EXPECT_EQ(ended.code(), StatusCode::kConflict) << ended.to_string();
+    ASSERT_TRUE(rt.abort_session().is_ok());
+  });
+  EXPECT_EQ(home_sum(0), 0 + 1111 + 2);
   expect_no_leaks();
 }
 
