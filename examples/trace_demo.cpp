@@ -1,9 +1,8 @@
 // Distributed tracing demo: one traced run that exercises every wire kind
 // the observability layer annotates — CALL (nested + callback), FETCH
 // (fault-driven page fills), ALLOC_BATCH (batched extended_malloc), DEREF
-// (the lazy baseline's explicit callbacks), and both session-commit
-// flavours: WB_PREPARE/WB_COMMIT (two-phase, the default) and the legacy
-// single-shot WRITE_BACK, plus the INVALIDATE multicast either way.
+// (the lazy baseline's explicit callbacks), and the session commit:
+// WB_PREPARE/WB_COMMIT (two-phase write-back) and the INVALIDATE multicast.
 //
 // Output:
 //   trace_demo.json — Chrome trace-event / Perfetto timeline of all spaces
@@ -78,7 +77,7 @@ int main() {
          })
       .check();
 
-  SessionId first_session = kNoSession;
+  SessionId traced_session = kNoSession;
   a.run([&](Runtime& rt) {
     auto head = workload::build_list(
         rt, 8, [](std::uint32_t i) { return static_cast<std::int64_t>(i + 1); });
@@ -87,11 +86,11 @@ int main() {
                    [](CallContext&, std::int64_t sum) -> std::int64_t { return sum; })
         .check();
 
-    // Session 1 — nested chain + callback + remote allocation, committed
-    // with the two-phase WB_PREPARE / WB_COMMIT protocol (the default).
+    // One session — nested chain + callback + remote allocation, committed
+    // with the two-phase WB_PREPARE / WB_COMMIT protocol.
     {
       Session session(rt);
-      first_session = session.id();
+      traced_session = session.id();
       auto sum = session.call<std::int64_t>(b.id(), "forward", head.value());
       sum.status().check();
       std::printf("[A] chain returned %lld\n", static_cast<long long>(sum.value()));
@@ -115,20 +114,6 @@ int main() {
       node.value()->value = 4242;
       session.end().check();
     }
-
-    // Session 2 — same update path, but with the two-phase commit turned
-    // off so the epilogue uses the legacy single-shot WRITE_BACK.
-    rt.set_two_phase_writeback(false);
-    {
-      Session session(rt);
-      auto sum = session.call<std::int64_t>(b.id(), "forward", head.value());
-      sum.status().check();
-      auto node = session.extended_malloc<ListNode>(b.id());
-      node.status().check();
-      node.value()->value = 1717;  // pending at end -> legacy WRITE_BACK
-      session.end().check();
-    }
-    rt.set_two_phase_writeback(true);
     return 0;
   });
 
@@ -144,16 +129,16 @@ int main() {
   // and completion-slot occupancy, SLO state, flight-recorder fill.
   std::printf("health: %s\n", world.health_json().c_str());
 
-  // Where did session 1's wall-clock go? The sweep charges every instant
+  // Where did the session's wall-clock go? The sweep charges every instant
   // to exactly one component, so the parts sum to the total.
   CriticalPathAnalyzer analyzer(world.collect_spans());
-  auto breakdown = analyzer.analyze_session(first_session);
+  auto breakdown = analyzer.analyze_session(traced_session);
   breakdown.status().check();
   const CriticalPathBreakdown& cp = breakdown.value();
   std::printf(
       "critical path of session %llu: total %.3f ms = network %.3f + "
       "execution %.3f + lock %.3f + retransmit %.3f + local %.3f\n",
-      static_cast<unsigned long long>(first_session),
+      static_cast<unsigned long long>(traced_session),
       static_cast<double>(cp.total_ns) / 1e6,
       static_cast<double>(cp.network_ns) / 1e6,
       static_cast<double>(cp.execution_ns) / 1e6,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -24,8 +25,9 @@ namespace srpc {
 //   ALLOC_BATCH nalloc u32 | nalloc x {provisional u64, type u32}
 //               | nfree u32 | nfree x {addr u64}
 //   ALLOC_REPLY n u32 | n x {provisional u64, real u64}
-//   WRITE_BACK  modified-set            (acked empty)
-//   WB_PREPARE  epoch u64 | modified-set  (acked empty; staged, not applied)
+//   WB_PREPARE  epoch u64 | [manifest] | modified-set
+//               (acked empty; staged, not applied; the manifest
+//               "n u32 | n x addr u64" rides only in multi-session worlds)
 //   WB_COMMIT   epoch u64               (acked empty; applies the stage)
 //   WB_ABORT    epoch u64               (acked empty; discards the stage)
 //   INVALIDATE  empty or aborted u32    (acked empty; empty = normal end)
@@ -385,13 +387,13 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
   const bool dest_takes_deltas =
       modified_deltas_enabled_ && peer_caps_ &&
       (peer_caps_(dest) & kCapModifiedDelta) != 0;
-  // A write-back toward a recovery-capable home doubles as that home's redo
-  // record: its WAL replay restores the pre-session heap, so the staged set
-  // must carry EVERY modified object homed there — including content the
-  // home already observed on an earlier hop. Re-applying identical bytes is
-  // idempotent; skipping them would leave the stage incomplete.
-  const bool self_contained_redo =
-      write_back && peer_caps_ && (peer_caps_(dest) & kCapIncarnation) != 0;
+  // In a recovery world a write-back doubles as the home's redo record: its
+  // WAL replay restores the pre-session heap, so the staged set must carry
+  // EVERY modified object homed there — including content the home already
+  // observed on an earlier hop. Re-applying identical bytes is idempotent;
+  // skipping them would leave the stage incomplete. Recovery is a world
+  // option, so our own log stands for the home's.
+  const bool self_contained_redo = write_back && recovery_ != nullptr;
 
   if (!dest_takes_deltas) {
     // Non-capable peer: the original page-granular protocol. Every object
@@ -820,6 +822,42 @@ void encode_fetch_frame(ByteBuffer& out, std::span<const LongPointer> pointers,
   }
 }
 
+// fan_out() width that issues every frame before settling any.
+constexpr std::size_t kFullWidth = std::numeric_limits<std::size_t>::max();
+
+// Fans `n` request frames out `width` (>= 1) at a time. `issue(i)` ships
+// frame i and returns its seq (0: nothing was sent); `settle(i, seq)`
+// collects the reply. Each window is settled before the next one starts,
+// and no window starts once a frame has failed: width 1 stops addressing
+// peers at the first failure, while kFullWidth has every frame in flight
+// before the first reply is collected (the cost is the slowest round trip,
+// not the sum). Every issued frame is settled, so no completion slot
+// leaks. Returns the first failure.
+template <typename Issue, typename Settle>
+Status fan_out(std::size_t n, std::size_t width, Issue&& issue,
+               Settle&& settle) {
+  Status failure = Status::ok();
+  std::vector<std::pair<std::size_t, std::uint64_t>> window;
+  for (std::size_t begin = 0; begin < n && failure.is_ok();) {
+    const std::size_t end = begin + std::min(width, n - begin);
+    window.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      Result<std::uint64_t> seq = issue(i);
+      if (!seq) {
+        if (failure.is_ok()) failure = seq.status();
+      } else if (seq.value() != 0) {
+        window.emplace_back(i, seq.value());
+      }
+    }
+    for (const auto& [i, seq] : window) {
+      Status settled = settle(i, seq);
+      if (failure.is_ok()) failure = std::move(settled);
+    }
+    begin = end;
+  }
+  return failure;
+}
+
 }  // namespace
 
 Status Runtime::prefetch(const void* p, std::uint64_t closure_budget) {
@@ -866,54 +904,36 @@ Status Runtime::prefetch_many(std::span<const void* const> pointers,
 Result<std::vector<ByteBuffer>> Runtime::parallel_fetch(
     CacheManager& owner, std::vector<CacheManager::PrefetchGroup>& groups,
     std::uint64_t closure_budget, SessionId session) {
-  struct InFlight {
-    std::size_t group;
-    std::uint64_t seq;
-  };
-  std::vector<InFlight> inflight;
-  inflight.reserve(groups.size());
-  Status failure = Status::ok();
-  // Ship every frame before collecting anything: the homes serve their
-  // FETCHes concurrently, so the wall-clock cost is the slowest single
-  // round trip instead of the sum.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    Message msg;
-    msg.type = MessageType::kFetch;
-    msg.to = groups[g].home;
-    msg.session = session;
-    msg.seq = endpoint_.next_seq();
-    encode_fetch_frame(msg.payload, groups[g].pointers, closure_budget);
-    auto issued =
-        issue_guarded(std::move(msg), MessageType::kFetchReply,
-                      /*idempotent=*/true);
-    if (!issued) {
-      if (failure.is_ok()) failure = issued.status();
-      continue;
-    }
-    inflight.push_back({g, issued.value()});
-  }
-  // Collect EVERY in-flight frame, even once a failure is recorded — no
-  // slot may leak. Restricted await (nullptr dispatcher) like the fault
-  // path: the owning cache is mid-fill and must not be re-entered.
   std::vector<ByteBuffer> replies(groups.size());
-  for (const InFlight& f : inflight) {
-    auto reply = collect_guarded(f.seq, nullptr);
-    if (!reply) {
-      if (failure.is_ok()) failure = reply.status();
-      continue;
-    }
-    if (reply.value().type == MessageType::kError) {
-      Status err = decode_error(reply.value());
-      if (failure.is_ok() && !err.is_ok()) failure = err;
-      continue;
-    }
-    replies[f.group] = std::move(reply.value().payload);
-    owner.renew_lease(groups[f.group].home, vnow_ns());
-    if (telemetry_.tracing()) {
-      telemetry_.annotate("lease renewed: source " +
-                          std::to_string(groups[f.group].home));
-    }
-  }
+  // Every FETCH is in flight before the first reply is collected: the homes
+  // serve them concurrently. Restricted await (nullptr dispatcher) like the
+  // fault path: the owning cache is mid-fill and must not be re-entered.
+  Status failure = fan_out(
+      groups.size(), kFullWidth,
+      [&](std::size_t g) {
+        Message msg;
+        msg.type = MessageType::kFetch;
+        msg.to = groups[g].home;
+        msg.session = session;
+        msg.seq = endpoint_.next_seq();
+        encode_fetch_frame(msg.payload, groups[g].pointers, closure_budget);
+        return issue_guarded(std::move(msg), MessageType::kFetchReply,
+                             /*idempotent=*/true);
+      },
+      [&](std::size_t g, std::uint64_t seq) -> Status {
+        auto reply = collect_guarded(seq, nullptr);
+        if (!reply) return reply.status();
+        if (reply.value().type == MessageType::kError) {
+          return decode_error(reply.value());
+        }
+        replies[g] = std::move(reply.value().payload);
+        owner.renew_lease(groups[g].home, vnow_ns());
+        if (telemetry_.tracing()) {
+          telemetry_.annotate("lease renewed: source " +
+                              std::to_string(groups[g].home));
+        }
+        return Status::ok();
+      });
   if (!failure.is_ok()) return failure;
   return replies;
 }
@@ -991,7 +1011,6 @@ std::string Runtime::metrics_json() {
   set("runtime.calls_served", stats_.calls_served);
   set("runtime.fetches_served", stats_.fetches_served);
   set("runtime.derefs_served", stats_.derefs_served);
-  set("runtime.writebacks_served", stats_.writebacks_served);
   set("runtime.alloc_batches_served", stats_.alloc_batches_served);
   set("runtime.stale_replies_absorbed", stats_.stale_replies_absorbed);
   set("runtime.duplicate_requests_absorbed", stats_.duplicate_requests_absorbed);
@@ -1134,12 +1153,9 @@ Result<Message> Runtime::guarded_roundtrip(Message msg, MessageType reply_type,
     span = telemetry_.tracer().start_local(
         std::string(to_string(kind)) + " -> " + std::to_string(peer),
         "rpc.client", start);
-    // The context crosses the wire only toward peers that negotiated the
-    // extension; retransmits reuse this message verbatim (same span), so a
-    // duplicated serve lands as a sibling, never a forked tree.
-    if (peer_caps_ && (peer_caps_(peer) & kCapTraceContext) != 0) {
-      msg.trace = telemetry_.tracer().context_of(span);
-    }
+    // Retransmits reuse this message verbatim (same span), so a duplicated
+    // serve lands as a sibling, never a forked tree.
+    msg.trace = telemetry_.tracer().context_of(span);
   }
 
   auto reply = endpoint_.roundtrip(std::move(msg), reply_type, serve,
@@ -1243,9 +1259,7 @@ Result<std::uint64_t> Runtime::issue_guarded(
     span = telemetry_.tracer().start_detached(
         std::string(to_string(kind)) + " -> " + std::to_string(peer),
         "rpc.client", start);
-    if (peer_caps_ && (peer_caps_(peer) & kCapTraceContext) != 0) {
-      msg.trace = telemetry_.tracer().context_of(span);
-    }
+    msg.trace = telemetry_.tracer().context_of(span);
   }
   const std::string kind_label = std::string("kind=") + std::string(to_string(kind));
 
@@ -1448,11 +1462,9 @@ void Runtime::set_recovery(RecoveryLog* log, std::uint32_t incarnation) {
                << "begin_session() will refuse until the space is retired";
   }
   endpoint_.set_stamp([this](Message& msg) {
-    if (peer_caps_ && (peer_caps_(msg.to) & kCapIncarnation) != 0) {
-      msg.incarnation = incarnation_;
-      const auto it = peer_incarnations_.find(msg.to);
-      msg.to_incarnation = it != peer_incarnations_.end() ? it->second : 0;
-    }
+    msg.incarnation = incarnation_;
+    const auto it = peer_incarnations_.find(msg.to);
+    msg.to_incarnation = it != peer_incarnations_.end() ? it->second : 0;
   });
   endpoint_.set_fence([this](const Message& msg) { return fence_stale(msg); });
 }
@@ -1650,10 +1662,15 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
   // NEXT death of the new incarnation must run containment afresh.
   dead_cleaned_.erase(peer);
   detector_.note_rejoin(peer);
-  SRPC_WARN << name_ << ": space " << peer << " rejoined as incarnation "
-            << incarnation << "; revoked " << revoked << " pages, reclaimed "
-            << reclaimed << " orphaned bytes, expired " << expired
-            << " in-flight requests";
+  // A routine restart that left nothing behind here is not a warning.
+  const LogLevel rejoin_level = revoked + reclaimed + expired > 0
+                                    ? LogLevel::kWarn
+                                    : LogLevel::kInfo;
+  SRPC_LOG(rejoin_level) << name_ << ": space " << peer
+                         << " rejoined as incarnation " << incarnation
+                         << "; revoked " << revoked << " pages, reclaimed "
+                         << reclaimed << " orphaned bytes, expired " << expired
+                         << " in-flight requests";
   if (telemetry_.tracing()) {
     telemetry_.annotate("peer rejoin: space " + std::to_string(peer) +
                         " incarnation " + std::to_string(incarnation));
@@ -1833,10 +1850,15 @@ Status Runtime::recover_from_log() {
   // recovered sessions are settled history, not live state.
   ambient_state_.updates.clear();
   ambient_state_.clear_ship();
-  SRPC_WARN << name_ << ": incarnation " << incarnation_ << " replayed "
-            << replayed << " log records ("
-            << (checkpoint != nullptr ? "from checkpoint" : "full history")
-            << "); " << shadow_commits_.size() << " stage(s) in doubt";
+  // Replaying the log is every restart's routine; only stages left in
+  // doubt are worth a warning.
+  const LogLevel replay_level =
+      shadow_commits_.empty() ? LogLevel::kInfo : LogLevel::kWarn;
+  SRPC_LOG(replay_level)
+      << name_ << ": incarnation " << incarnation_ << " replayed " << replayed
+      << " log records ("
+      << (checkpoint != nullptr ? "from checkpoint" : "full history") << "); "
+      << shadow_commits_.size() << " stage(s) in doubt";
   return Status::ok();
 }
 
@@ -2225,32 +2247,6 @@ Status Runtime::serve_alloc_batch(Message msg) {
       recovery_->note_free(addr.value());
     }
   }
-  return endpoint_.send(std::move(reply));
-}
-
-Status Runtime::serve_writeback(Message msg) {
-  ++stats_.writebacks_served;
-  // Single-phase write-back mutates the heap in one step, with no
-  // PREPARE/COMMIT pair to journal it. Log the stage and (after a clean
-  // apply, before the ack) its commit under epoch 0 — single-phase carries
-  // none — so a reincarnation's replay re-applies these bytes instead of
-  // reverting an acknowledged write-back to the pre-write image.
-  const bool journal = recovery_ != nullptr && !is_dead_session(msg.session);
-  if (journal) {
-    const ByteBuffer& body = msg.payload;
-    recovery_->note_prepare(msg.session, /*epoch=*/0, msg.from,
-                            body.data() + body.cursor(), body.remaining());
-  }
-  Status applied = apply_modified_set(msg.payload, msg.from);
-  if (!applied.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq, applied);
-  }
-  if (journal) recovery_->note_commit(msg.session, /*epoch=*/0);
-  Message reply;
-  reply.type = MessageType::kWriteBackAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
   return endpoint_.send(std::move(reply));
 }
 
@@ -2666,25 +2662,20 @@ Status Runtime::end_session(SessionId id) {
   // already observed (epoch/fingerprint match from the last hop) is skipped
   // entirely; a home with nothing left to learn gets no message.
   //
-  // Toward two-phase-capable homes the batch travels as WB_PREPARE: the
-  // home stages it in a shadow buffer keyed by {session, epoch} and applies
-  // nothing yet. Only when EVERY home has acknowledged its prepare does
-  // phase two commit them all — so a crash, partition, or deadline during
-  // phase one aborts cleanly everywhere and no home is left half-new.
-  // Legacy homes (capability not negotiated, or the local toggle off) keep
-  // the one-shot WRITE_BACK and apply immediately.
+  // Each batch travels as WB_PREPARE: the home stages it in a shadow buffer
+  // keyed by {session, epoch} and applies nothing yet. Only when EVERY home
+  // has acknowledged its prepare does phase two commit them all — so a
+  // crash, partition, or deadline during phase one aborts cleanly
+  // everywhere and no home is left half-new.
   std::set<SpaceId> homes;
   for (const auto& d : session_cache.collect_modified_deltas()) {
     if (d.id.space != self_) homes.insert(d.id.space);
   }
 
   const std::uint64_t epoch = ++wb_epoch_;
-  struct PreparedHome {
-    SpaceId home;
-    std::vector<ShippedRecord> shipped;
-  };
-  std::vector<PreparedHome> prepared;
-  Status failure = Status::ok();
+  // Every phase below fans out through fan_out(): all frames in flight at
+  // once, or (parallel_commit_ off, the bench baseline) one at a time.
+  const std::size_t width = parallel_commit_ ? kFullWidth : 1;
 
   // Builds the phase-two/abort frame (epoch only) for one home.
   auto epoch_message = [&](MessageType type, SpaceId home) {
@@ -2698,195 +2689,124 @@ Status Runtime::end_session(SessionId id) {
     return msg;
   };
 
-  // Encode every home's batch first (each snapshot rides one frame either
-  // way), then ship. With parallel_commit_ every frame is in flight before
-  // the first ack is collected, so the prepare fan-out costs the slowest
-  // home rather than the sum of all round trips (bench/fig9_pipeline
-  // measures the difference); sequential mode keeps one frame outstanding
-  // at a time as the A/B baseline.
-  struct PendingPrepare {
-    SpaceId home = 0;
-    bool capable = false;
+  // Encode every home's batch first, then ship.
+  struct HomeBatch {
+    SpaceId home;
     std::vector<ShippedRecord> shipped;
     Message msg;
-    std::uint64_t seq = 0;
-    bool issued = false;
   };
-  std::vector<PendingPrepare> batch;
+  std::vector<HomeBatch> batch;
+  Status failure = Status::ok();
   for (const SpaceId home : homes) {
-    const bool capable =
-        two_phase_writeback_enabled_ && peer_caps_ &&
-        (peer_caps_(home) & kCapTwoPhaseWriteBack) != 0;
-    // The manifest (and the home's arbitration) rides only on prepares
-    // between multi-session peers — the capability is world-uniform, so a
-    // mixed wire format never occurs.
-    const bool multi_capable =
-        capable && multi_session_ &&
-        (peer_caps_(home) & kCapMultiSession) != 0;
     Message msg;
-    msg.type = capable ? MessageType::kWbPrepare : MessageType::kWriteBack;
+    msg.type = MessageType::kWbPrepare;
     msg.to = home;
     msg.session = id;
     msg.seq = endpoint_.next_seq();
+    xdr::Encoder enc(msg.payload);
+    enc.put_u64(epoch);
     std::size_t encoded = 0;
     std::vector<ShippedRecord> shipped;
-    if (multi_capable) {
-      // The write manifest (home addresses this batch overwrites) precedes
-      // the modified-set section, but is derived from it — so encode the
-      // section into a scratch buffer first, then splice.
-      ByteBuffer section;
-      Status attached = attach_modified_set(section, home,
-                                            /*write_back=*/true, &encoded,
-                                            &shipped);
-      if (!attached.is_ok()) {
-        failure = attached;
-        break;
-      }
-      if (encoded == 0) continue;  // home already holds the final content
-      xdr::Encoder enc(msg.payload);
-      enc.put_u64(epoch);
+    // Multi-session prepares carry a write manifest (the home addresses
+    // this batch overwrites) for the home's arbitration. It precedes the
+    // modified-set section but is derived from it, so the section is
+    // encoded into a scratch buffer first, then spliced.
+    ByteBuffer section;
+    failure = attach_modified_set(multi_session_ ? section : msg.payload, home,
+                                  /*write_back=*/true, &encoded, &shipped);
+    if (!failure.is_ok()) break;
+    if (encoded == 0) continue;  // home already holds the final content
+    if (multi_session_) {
       enc.put_u32(static_cast<std::uint32_t>(shipped.size()));
       for (const ShippedRecord& r : shipped) enc.put_u64(r.id.address);
       msg.payload.append(section.view());
-    } else {
-      if (capable) {
-        xdr::Encoder enc(msg.payload);
-        enc.put_u64(epoch);
-      }
-      Status attached = attach_modified_set(msg.payload, home,
-                                            /*write_back=*/true, &encoded,
-                                            &shipped);
-      if (!attached.is_ok()) {
-        failure = attached;
-        break;
-      }
-      if (encoded == 0) continue;  // home already holds the final content
     }
-    PendingPrepare p;
-    p.home = home;
-    p.capable = capable;
-    p.shipped = std::move(shipped);
-    p.msg = std::move(msg);
-    batch.push_back(std::move(p));
+    batch.push_back(HomeBatch{home, std::move(shipped), std::move(msg)});
   }
 
-  // Both shapes are idempotent: WRITE_BACK overwrites, WB_PREPARE
-  // re-stages the same bytes under the same epoch. Lost acks are
-  // recovered by retransmission under the same seq.
-  auto issue_prepare = [&](PendingPrepare& p) {
-    if (p.capable) {
-      ++stats_.wb_prepares;
-      if (telemetry_.tracing()) {
-        telemetry_.annotate("wb prepare: home " + std::to_string(p.home) +
-                            " epoch " + std::to_string(epoch));
-      }
-    }
-    auto issued = issue_guarded(
-        std::move(p.msg),
-        p.capable ? MessageType::kWbPrepareAck : MessageType::kWriteBackAck,
-        /*idempotent=*/true);
-    if (!issued) {
-      if (failure.is_ok()) failure = issued.status();
-      return;
-    }
-    p.seq = issued.value();
-    p.issued = true;
-  };
-  auto settle_prepare = [&](PendingPrepare& p) {
-    auto ack = collect_guarded(p.seq, serve_during_commit);
-    if (!ack) {
-      if (failure.is_ok()) failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (err.code() == StatusCode::kConflict) {
-        // WB_CONFLICT: the home's arbiter refused the prepare (stale read,
-        // wound, or an older writer holds the object). The session lost;
-        // the caller aborts it and retries under backoff.
-        ++stats_.wb_conflicts;
-        telemetry_.count("concurrency.wb_conflicts");
-        telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
-                                  p.home, "lost arbitration", 0,
-                                  id);
-        SRPC_WARN << name_ << ": session " << id
-                  << " lost arbitration at home " << p.home << ": "
-                  << err.to_string();
-      }
-      if (failure.is_ok()) failure = err;
-      return;
-    }
-    if (p.capable) {
-      prepared.push_back(PreparedHome{p.home, std::move(p.shipped)});
-    } else {
-      commit_shipped(p.home, p.shipped);
-    }
-  };
+  // Homes that acknowledged their prepare (indexes into `batch`). A
+  // prepare is idempotent — a retransmit re-stages the same bytes under the
+  // same epoch — so lost acks are recovered under the same seq.
+  std::vector<std::size_t> prepared;
   if (failure.is_ok()) {
-    if (parallel_commit_) {
-      // Fan out, then settle every in-flight frame (even once a failure is
-      // recorded — no completion slot may leak, and every home that staged
-      // must be known so the abort sweep below reaches it).
-      for (PendingPrepare& p : batch) issue_prepare(p);
-      for (PendingPrepare& p : batch) {
-        if (p.issued) settle_prepare(p);
-      }
-    } else {
-      for (PendingPrepare& p : batch) {
-        if (!failure.is_ok()) break;
-        issue_prepare(p);
-        if (p.issued) settle_prepare(p);
-      }
-    }
+    failure = fan_out(
+        batch.size(), width,
+        [&](std::size_t i) {
+          ++stats_.wb_prepares;
+          if (telemetry_.tracing()) {
+            telemetry_.annotate("wb prepare: home " +
+                                std::to_string(batch[i].home) + " epoch " +
+                                std::to_string(epoch));
+          }
+          return issue_guarded(std::move(batch[i].msg),
+                               MessageType::kWbPrepareAck, /*idempotent=*/true);
+        },
+        [&](std::size_t i, std::uint64_t seq) -> Status {
+          auto ack = collect_guarded(seq, serve_during_commit);
+          if (!ack) return ack.status();
+          if (ack.value().type == MessageType::kError) {
+            Status err = decode_error(ack.value());
+            if (err.code() == StatusCode::kConflict) {
+              // WB_CONFLICT: the home's arbiter refused the prepare (stale
+              // read, wound, or an older writer holds the object). The
+              // session lost; the caller aborts it and retries under
+              // backoff.
+              ++stats_.wb_conflicts;
+              telemetry_.count("concurrency.wb_conflicts");
+              telemetry_.flight().event(FlightEventKind::kWbConflict,
+                                        vnow_ns(), batch[i].home,
+                                        "lost arbitration", 0, id);
+              SRPC_WARN << name_ << ": session " << id
+                        << " lost arbitration at home " << batch[i].home
+                        << ": " << err.to_string();
+            }
+            return err;
+          }
+          prepared.push_back(i);
+          return Status::ok();
+        });
   }
-
-  // One acknowledged epoch-frame round trip (abort, commit, invalidate).
-  struct PendingAck {
-    SpaceId home = 0;
-    std::uint64_t seq = 0;
-    const PreparedHome* prep = nullptr;
-  };
 
   if (!failure.is_ok()) {
     // Phase one failed somewhere: roll back every staged home, best-effort
     // (a home we cannot reach will drop its stage when the session's
-    // INVALIDATE or tombstone eventually lands). The session stays open so
-    // the caller may retry end_session() or fall back to abort_session().
-    std::vector<PendingAck> aborts;
-    auto settle_abort = [&](const PendingAck& a) {
-      auto ack = collect_guarded(a.seq, serve_during_commit);
-      if (!ack) {
-        SRPC_WARN << name_ << ": write-back abort to space " << a.home
-                  << " failed: " << ack.status().to_string();
-      }
-    };
+    // INVALIDATE or tombstone eventually lands), so no abort stops the
+    // sweep. The session stays open so the caller may retry end_session()
+    // or fall back to abort_session().
+    //
     // Decision logged before any abort ships: if we crash mid-sweep, our
     // successor's REJOIN tells the still-staged homes to roll back.
     if (recovery_ != nullptr && !prepared.empty()) {
       recovery_->note_decision(id, epoch, /*committed=*/false);
     }
-    for (const PreparedHome& p : prepared) {
-      ++stats_.wb_aborts;
-      if (telemetry_.tracing()) {
-        telemetry_.annotate("wb abort: home " + std::to_string(p.home) +
-                            " epoch " + std::to_string(epoch));
-      }
-      auto issued =
-          issue_guarded(epoch_message(MessageType::kWbAbort, p.home),
-                        MessageType::kWbAbortAck, /*idempotent=*/true);
-      if (!issued) {
-        SRPC_WARN << name_ << ": write-back abort to space " << p.home
-                  << " failed: " << issued.status().to_string();
-        continue;
-      }
-      PendingAck a{p.home, issued.value(), nullptr};
-      if (parallel_commit_) {
-        aborts.push_back(a);
-      } else {
-        settle_abort(a);
-      }
-    }
-    for (const PendingAck& a : aborts) settle_abort(a);
+    (void)fan_out(
+        prepared.size(), width,
+        [&](std::size_t i) -> Result<std::uint64_t> {
+          const SpaceId home = batch[prepared[i]].home;
+          ++stats_.wb_aborts;
+          if (telemetry_.tracing()) {
+            telemetry_.annotate("wb abort: home " + std::to_string(home) +
+                                " epoch " + std::to_string(epoch));
+          }
+          auto issued =
+              issue_guarded(epoch_message(MessageType::kWbAbort, home),
+                            MessageType::kWbAbortAck, /*idempotent=*/true);
+          if (!issued) {
+            SRPC_WARN << name_ << ": write-back abort to space " << home
+                      << " failed: " << issued.status().to_string();
+            return std::uint64_t{0};
+          }
+          return issued;
+        },
+        [&](std::size_t i, std::uint64_t seq) {
+          auto ack = collect_guarded(seq, serve_during_commit);
+          if (!ack) {
+            SRPC_WARN << name_ << ": write-back abort to space "
+                      << batch[prepared[i]].home
+                      << " failed: " << ack.status().to_string();
+          }
+          return Status::ok();
+        });
     st.status = SessionStatus::kActive;  // still open: retry or abort
     return failure;
   }
@@ -2895,9 +2815,7 @@ Status Runtime::end_session(SessionId id) {
   // here leaves the session open and is safe to retry: homes that already
   // committed re-ack the duplicate epoch, homes that still hold the stage
   // apply it, and a retried end_session() re-prepares only what the
-  // fingerprint suppression has not already committed. The fan-out follows
-  // parallel_commit_ like phase one; every issued frame is settled before
-  // the first failure is reported.
+  // fingerprint suppression has not already committed.
   //
   // The commit decision is journaled BEFORE the first WB_COMMIT ships —
   // this is the atomic commit point of the session. If we crash between
@@ -2906,46 +2824,31 @@ Status Runtime::end_session(SessionId id) {
   if (recovery_ != nullptr && !prepared.empty()) {
     recovery_->note_decision(id, epoch, /*committed=*/true);
   }
-  Status commit_failure = Status::ok();
-  std::vector<PendingAck> commits;
-  auto settle_commit = [&](const PendingAck& a) {
-    auto ack = collect_guarded(a.seq, serve_during_commit);
-    if (!ack) {
-      if (commit_failure.is_ok()) commit_failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (commit_failure.is_ok()) commit_failure = err;
-      return;
-    }
-    commit_shipped(a.home, a.prep->shipped);
-  };
-  for (const PreparedHome& p : prepared) {
-    if (!parallel_commit_ && !commit_failure.is_ok()) break;
-    ++stats_.wb_commits;
-    if (telemetry_.tracing()) {
-      telemetry_.annotate("wb commit: home " + std::to_string(p.home) +
-                          " epoch " + std::to_string(epoch));
-    }
-    auto issued =
-        issue_guarded(epoch_message(MessageType::kWbCommit, p.home),
-                      MessageType::kWbCommitAck, /*idempotent=*/true);
-    if (!issued) {
-      if (commit_failure.is_ok()) commit_failure = issued.status();
-      continue;
-    }
-    PendingAck a{p.home, issued.value(), &p};
-    if (parallel_commit_) {
-      commits.push_back(a);
-    } else {
-      settle_commit(a);
-    }
-  }
-  for (const PendingAck& a : commits) settle_commit(a);
-  if (!commit_failure.is_ok()) {
+  failure = fan_out(
+      prepared.size(), width,
+      [&](std::size_t i) {
+        const SpaceId home = batch[prepared[i]].home;
+        ++stats_.wb_commits;
+        if (telemetry_.tracing()) {
+          telemetry_.annotate("wb commit: home " + std::to_string(home) +
+                              " epoch " + std::to_string(epoch));
+        }
+        return issue_guarded(epoch_message(MessageType::kWbCommit, home),
+                             MessageType::kWbCommitAck, /*idempotent=*/true);
+      },
+      [&](std::size_t i, std::uint64_t seq) -> Status {
+        auto ack = collect_guarded(seq, serve_during_commit);
+        if (!ack) return ack.status();
+        if (ack.value().type == MessageType::kError) {
+          return decode_error(ack.value());
+        }
+        const HomeBatch& p = batch[prepared[i]];
+        commit_shipped(p.home, p.shipped);
+        return Status::ok();
+      });
+  if (!failure.is_ok()) {
     st.status = SessionStatus::kActive;
-    return commit_failure;
+    return failure;
   }
 
   // Multicast the invalidation to every space concerned with the session.
@@ -2958,51 +2861,37 @@ Status Runtime::end_session(SessionId id) {
   if (multi_session_) {
     invalidate_targets.assign(st.touched.begin(), st.touched.end());
   } else {
-    const std::vector<SpaceId> everyone = directory_();
-    invalidate_targets.assign(everyone.begin(), everyone.end());
+    invalidate_targets = directory_();
   }
-  Status inv_failure = Status::ok();
-  std::vector<PendingAck> invalidations;
-  auto settle_invalidate = [&](const PendingAck& a) {
-    auto ack = collect_guarded(a.seq, serve_during_commit);
-    if (!ack) {
-      if (inv_failure.is_ok()) inv_failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (inv_failure.is_ok()) inv_failure = err;
-    }
-  };
-  for (const SpaceId peer : invalidate_targets) {
-    // A dead peer has nothing left to invalidate (its pages were revoked,
-    // its orphans reclaimed) and must not wedge everyone else's commit.
-    if (peer == self_ || detector_.is_dead(peer)) continue;
-    if (!parallel_commit_ && !inv_failure.is_ok()) break;
-    Message msg;
-    msg.type = MessageType::kInvalidate;
-    msg.to = peer;
-    msg.session = id;
-    msg.seq = endpoint_.next_seq();
-    xdr::Encoder enc(msg.payload);
-    enc.put_u32(0);  // not aborted
-    auto issued = issue_guarded(std::move(msg), MessageType::kInvalidateAck,
-                                /*idempotent=*/true);
-    if (!issued) {
-      if (inv_failure.is_ok()) inv_failure = issued.status();
-      continue;
-    }
-    PendingAck a{peer, issued.value(), nullptr};
-    if (parallel_commit_) {
-      invalidations.push_back(a);
-    } else {
-      settle_invalidate(a);
-    }
-  }
-  for (const PendingAck& a : invalidations) settle_invalidate(a);
-  if (!inv_failure.is_ok()) {
+  failure = fan_out(
+      invalidate_targets.size(), width,
+      [&](std::size_t i) -> Result<std::uint64_t> {
+        const SpaceId peer = invalidate_targets[i];
+        // A dead peer has nothing left to invalidate (its pages were
+        // revoked, its orphans reclaimed) and must not wedge everyone
+        // else's commit.
+        if (peer == self_ || detector_.is_dead(peer)) return std::uint64_t{0};
+        Message msg;
+        msg.type = MessageType::kInvalidate;
+        msg.to = peer;
+        msg.session = id;
+        msg.seq = endpoint_.next_seq();
+        xdr::Encoder enc(msg.payload);
+        enc.put_u32(0);  // not aborted
+        return issue_guarded(std::move(msg), MessageType::kInvalidateAck,
+                             /*idempotent=*/true);
+      },
+      [&](std::size_t, std::uint64_t seq) -> Status {
+        auto ack = collect_guarded(seq, serve_during_commit);
+        if (!ack) return ack.status();
+        if (ack.value().type == MessageType::kError) {
+          return decode_error(ack.value());
+        }
+        return Status::ok();
+      });
+  if (!failure.is_ok()) {
     st.status = SessionStatus::kActive;
-    return inv_failure;
+    return failure;
   }
 
   session_cache.invalidate_all();
@@ -3174,7 +3063,7 @@ Status Runtime::dispatch(Message msg) {
   // worker thread interleave many sessions without cross-talk.
   ScopedSession scope(*this, msg.session);
   // Stragglers of invalidated sessions are refused before they can touch
-  // any state: a delayed CALL or WRITE_BACK must not repopulate the cache
+  // any state: a delayed CALL or WB_PREPARE must not repopulate the cache
   // of a session that is already gone. INVALIDATE itself stays servable
   // (retransmits must keep getting acks) and FETCH against tombstones is
   // refused so the requester fails fast rather than resurrecting the id.
@@ -3182,7 +3071,6 @@ Status Runtime::dispatch(Message msg) {
     case MessageType::kCall:
     case MessageType::kFetch:
     case MessageType::kAllocBatch:
-    case MessageType::kWriteBack:
     case MessageType::kWbPrepare:
     case MessageType::kWbCommit:
     case MessageType::kDeref:
@@ -3222,7 +3110,6 @@ Status Runtime::dispatch(Message msg) {
       case MessageType::kCall:
       case MessageType::kFetch:
       case MessageType::kAllocBatch:
-      case MessageType::kWriteBack:
       case MessageType::kInvalidate:
       case MessageType::kWbPrepare:
       case MessageType::kWbCommit:
@@ -3254,8 +3141,6 @@ Status Runtime::dispatch_serve(Message msg) {
       return serve_alloc_batch(std::move(msg));
     case MessageType::kFetch:
       return serve_fetch(std::move(msg));
-    case MessageType::kWriteBack:
-      return serve_writeback(std::move(msg));
     case MessageType::kInvalidate:
       return serve_invalidate(std::move(msg));
     case MessageType::kWbPrepare:
@@ -3280,7 +3165,6 @@ Status Runtime::dispatch_serve(Message msg) {
     case MessageType::kReturn:
     case MessageType::kFetchReply:
     case MessageType::kAllocReply:
-    case MessageType::kWriteBackAck:
     case MessageType::kInvalidateAck:
     case MessageType::kWbPrepareAck:
     case MessageType::kWbCommitAck:

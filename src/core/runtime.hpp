@@ -53,7 +53,6 @@ struct RuntimeStats {
   std::uint64_t calls_served = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t derefs_served = 0;
-  std::uint64_t writebacks_served = 0;
   std::uint64_t alloc_batches_served = 0;
   // Failure-handling layer (PROTOCOL.md "Timeouts, retries, and duplicate
   // absorption").
@@ -106,9 +105,11 @@ class Runtime final : public PageFetcher,
   // `sim` may be null (real-socket transport): fault costs then show up as
   // real time instead of virtual time. `directory` lists every space in the
   // world for the session-end invalidation multicast.
-  // `peer_caps` reports the capability bits (rpc/wire.hpp kCap*) a peer
-  // accepts; empty means "no optional features" and keeps every payload in
-  // the legacy format.
+  // `peer_caps` reports the arch-dependent capability bits (rpc/wire.hpp
+  // kCapModifiedDelta, kCapShmPayload) a peer accepts; empty means neither,
+  // and modified sets then travel as full images over the byte lane.
+  // Everything else (two-phase commit, trace context, multi-session
+  // manifests, incarnation stamps) every peer in a World speaks alike.
   Runtime(SpaceId self, std::string name, const ArchModel& arch,
           TypeRegistry& registry, const LayoutEngine& layouts,
           HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
@@ -184,22 +185,12 @@ class Runtime final : public PageFetcher,
   }
   void set_modified_deltas(bool on) noexcept { modified_deltas_enabled_ = on; }
 
-  // Local kill switch for the two-phase session-end write-back. Off, this
-  // runtime ends sessions with the one-shot WRITE_BACK protocol even toward
-  // capable peers. Flip only between sessions.
-  [[nodiscard]] bool two_phase_writeback() const noexcept {
-    return two_phase_writeback_enabled_;
-  }
-  void set_two_phase_writeback(bool on) noexcept {
-    two_phase_writeback_enabled_ = on;
-  }
-
-  // Parallel per-home fan-out at session end (two-phase write-back): all
-  // WB_PREPAREs are issued before any ack is collected, then all
-  // WB_COMMITs, then the invalidation multicast — commit latency is the
-  // slowest home, not the sum. Off, each round trip completes before the
-  // next home is addressed (the pre-pipelining behaviour; kept as a bench
-  // ablation). Flip only between sessions.
+  // Width of the session-end fan-out. On, every WB_PREPARE is issued
+  // before any ack is collected, then every WB_COMMIT (or WB_ABORT), then
+  // the invalidation multicast — commit latency is the slowest home, not
+  // the sum. Off, each round trip completes before the next home is
+  // addressed and the first failure stops the phase (the pre-pipelining
+  // behaviour; kept as a bench ablation). Flip only between sessions.
   [[nodiscard]] bool parallel_commit() const noexcept { return parallel_commit_; }
   void set_parallel_commit(bool on) noexcept { parallel_commit_ = on; }
 
@@ -549,7 +540,6 @@ class Runtime final : public PageFetcher,
   Status serve_call(Message msg);
   Status serve_fetch(Message msg);
   Status serve_alloc_batch(Message msg);
-  Status serve_writeback(Message msg);
   Status serve_invalidate(Message msg);
   Status serve_deref(Message msg);
   Status serve_wb_prepare(Message msg);
@@ -681,7 +671,6 @@ class Runtime final : public PageFetcher,
   std::function<std::vector<SpaceId>()> directory_;
   std::function<std::uint32_t(SpaceId)> peer_caps_;
   bool modified_deltas_enabled_ = true;
-  bool two_phase_writeback_enabled_ = true;
   bool parallel_commit_ = true;
 
   Mailbox mailbox_;

@@ -53,21 +53,10 @@ AddressSpace& World::create_space(const std::string& name, const ArchModel& arch
   };
   // Capability advertisement is evaluated per send, so a later create_space
   // with a foreign ArchModel retracts the arch-dependent capabilities
-  // world-wide.
+  // world-wide. Options every space shares (multi_session, recovery) need
+  // no bit: each runtime reads them off its own configuration.
   auto peer_caps = [this](SpaceId) -> std::uint32_t {
     std::uint32_t caps = 0;
-    if (options_.two_phase_writeback) caps |= kCapTwoPhaseWriteBack;
-    if (options_.trace_context) caps |= kCapTraceContext;
-    // Arbitration needs the staged commit: without two-phase write-back a
-    // home applies bytes before it could refuse them, so the capability is
-    // only advertised together (and world-uniformly, since the option is).
-    if (options_.multi_session && options_.two_phase_writeback) {
-      caps |= kCapMultiSession;
-    }
-    // Recovery worlds speak the incarnation wire extension and keep their
-    // write-backs self-contained (complete redo records for the home's
-    // log); peers key their fencing off this bit.
-    if (options_.recovery) caps |= kCapIncarnation;
     if (options_.modified_deltas || options_.shm_payload) {
       bool uniform_arch = true;
       for (const auto& s : spaces_) {
@@ -107,9 +96,7 @@ AddressSpace& World::create_space(const std::string& name, const ArchModel& arch
 void World::apply_runtime_config(AddressSpace& space) {
   Runtime& rt = space.runtime();
   if (options_.tracing) rt.set_tracing(true);
-  if (options_.multi_session && options_.two_phase_writeback) {
-    rt.set_multi_session(true);
-  }
+  if (options_.multi_session) rt.set_multi_session(true);
   if (shm_arena_) rt.set_shm_arena(shm_arena_.get());
   if (options_.recovery) {
     const SpaceId id = space.id();

@@ -46,26 +46,18 @@ struct WorldOptions {
   // the sender's local layout); mixed-arch worlds fall back to full graph
   // payloads automatically.
   bool modified_deltas = true;
-  // Advertise the two-phase write-back capability: session end stages the
-  // modified set on every home (WB_PREPARE) and applies it only once all
-  // homes acked (WB_COMMIT), so a crash mid-commit leaves surviving homes
-  // all-committed or all-rolled-back. Works across mixed-arch worlds — the
-  // staged bytes reuse the existing modified-set formats.
-  bool two_phase_writeback = true;
-  // Advertise the trace-context wire extension (kCapTraceContext): messages
-  // may carry {trace_id, span_id, parent, hop} so spans link causally
-  // across spaces. Advertising costs nothing while tracing is off — the
-  // extension is only attached to messages sent while a span is open.
-  bool trace_context = true;
   // Record spans from the first message on. Defaults from the SRPC_TRACE
   // environment variable (any non-empty value but "0" enables); flip at
-  // runtime with set_tracing().
+  // runtime with set_tracing(). Every message sent while a span is open
+  // carries its trace context {trace_id, span_id, parent, hop}, so spans
+  // link causally across spaces.
   bool tracing = false;
   // Concurrent multi-session runtime: every space tracks many sessions at
   // once (SessionTable, per-session cache overlays) and homes arbitrate
   // conflicting commits (ObjectLockTable + ConflictArbiter, wound-wait).
-  // Advertised as kCapMultiSession only together with two_phase_writeback —
-  // arbitration happens at WB_PREPARE, so it needs the staged commit.
+  // Arbitration happens at WB_PREPARE (every prepare then carries a write
+  // manifest), before the home applies anything. World-wide: every space
+  // speaks the same prepare format.
   bool multi_session = false;
   // Zero-copy payload lane: the world owns one ShmArena and every space
   // advertises kCapShmPayload, so payloads between same-architecture peers
@@ -77,7 +69,7 @@ struct WorldOptions {
   std::size_t shm_arena_bytes = 64ULL << 20;  // live-bytes budget of the arena
   // Space reincarnation: every space gets a world-owned RecoveryLog (the
   // in-memory stand-in for NVRAM — it survives the space's crash), an
-  // incarnation number carried in every frame (kCapIncarnation), and
+  // incarnation number carried in every frame, and
   // World::restart_space() brings a crashed space back: replay the log,
   // announce REJOIN, fence stale traffic from the prior life.
   bool recovery = false;

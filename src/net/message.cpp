@@ -16,10 +16,6 @@ std::string_view to_string(MessageType t) noexcept {
       return "ALLOC_BATCH";
     case MessageType::kAllocReply:
       return "ALLOC_REPLY";
-    case MessageType::kWriteBack:
-      return "WRITE_BACK";
-    case MessageType::kWriteBackAck:
-      return "WRITE_BACK_ACK";
     case MessageType::kInvalidate:
       return "INVALIDATE";
     case MessageType::kInvalidateAck:

@@ -24,8 +24,6 @@ enum class MessageType : std::uint8_t {
   kFetchReply,     // graph payload filling the page (+ eager closure)
   kAllocBatch,     // batched extended_malloc/extended_free requests
   kAllocReply,     // home-assigned addresses for the batch
-  kWriteBack,      // session-end write-back of the modified data set
-  kWriteBackAck,
   kInvalidate,     // session-end multicast: drop all cached data
   kInvalidateAck,
   kDeref,          // fully-lazy baseline: dereference one long pointer

@@ -111,7 +111,7 @@ void FlightRecorder::event(FlightEventKind kind, std::uint64_t ts_ns,
   e.arg = arg;
   e.session = session;
   const std::size_t n = std::min(note.size(), sizeof(e.note) - 1);
-  std::memcpy(e.note, note.data(), n);
+  if (n > 0) std::memcpy(e.note, note.data(), n);  // empty: data() may be null
   e.note[n] = '\0';
   record(e);
 }

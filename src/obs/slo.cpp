@@ -23,7 +23,6 @@ std::vector<SloObjective> SloConfig::defaults() {
       {"ALLOC_BATCH", 1 * kSec, 0.99, 256, 2.0},
       {"WB_PREPARE", 2 * kSec, 0.99, 256, 2.0},
       {"WB_COMMIT", 2 * kSec, 0.99, 256, 2.0},
-      {"WRITE_BACK", 10 * kSec, 0.99, 256, 2.0},
       {"INVALIDATE", 2 * kSec, 0.99, 256, 2.0},
       {"SESSION_COMMIT", 30 * kSec, 0.99, 128, 2.0},
   };

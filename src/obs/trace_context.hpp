@@ -2,9 +2,9 @@
 // spaces so nested RPC / callback / fetch chains form one span tree.
 //
 // {trace_id, span_id, parent_span_id, hop} travel as a 28-byte wire
-// extension behind the frame header (rpc/wire.cpp), gated by the
-// kCapTraceContext capability bit so legacy peers never see it. A zero
-// trace_id means "no context attached"; retransmits of a request reuse
+// extension behind the frame header (rpc/wire.cpp), attached to every
+// message sent while a span is open. A zero trace_id means "no context
+// attached"; retransmits of a request reuse
 // the original context verbatim, which is what keeps duplicate serves
 // siblings in one tree instead of forking a second one.
 #pragma once

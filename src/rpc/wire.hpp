@@ -33,9 +33,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x53525043;  // "SRPC"
 inline constexpr std::size_t kFrameHeaderSize = 36;
 
 // High bit of the frame's type word: a 28-byte trace-context extension
-// (obs/trace_context.hpp) follows the fixed header. Senders set it only
-// toward peers advertising kCapTraceContext, so legacy decoders — which
-// reject unknown type words — never see it.
+// (obs/trace_context.hpp) follows the fixed header. Senders set it on every
+// message sent while a span is open.
 inline constexpr std::uint32_t kFrameTraceFlag = 0x80000000U;
 
 // Second-highest bit of the type word: the frame's payload section is a
@@ -47,13 +46,13 @@ inline constexpr std::uint32_t kFrameShmFlag = 0x40000000U;
 
 // Third-highest bit of the type word: an 8-byte incarnation extension
 // {incarnation u32 | to_incarnation u32} follows the fixed header (after
-// the trace extension when both are present). Senders set it only toward
-// peers advertising kCapIncarnation; zero stamps are never framed.
+// the trace extension when both are present). Only recovery worlds stamp
+// frames; zero stamps are never framed.
 inline constexpr std::uint32_t kFrameIncarnationFlag = 0x20000000U;
 
 // --- MODIFIED_DELTA: delta-encoded modified sets (PROTOCOL.md) -------------
 //
-// The modified-set section of CALL/RETURN/WRITE_BACK payloads comes in two
+// The modified-set section of CALL/RETURN/WB_PREPARE payloads comes in two
 // formats, distinguished by the first word:
 //
 //   legacy  ngroups u32 | ngroups x graph payload          (full images)
@@ -77,32 +76,21 @@ inline constexpr std::uint32_t kFrameIncarnationFlag = 0x20000000U;
 
 inline constexpr std::uint32_t kModifiedDeltaMagic = 0x4D444C54;  // "MDLT"
 
-// Capability bits (World::peer_caps).
+// Capability bits (World::peer_caps). Only properties that differ between
+// spaces of one World get a bit: both below are retracted world-wide as
+// soon as one space has a foreign architecture model. Everything else a
+// World configures for all its spaces alike (two-phase commit, trace
+// context, multi-session manifests, incarnation stamps), so each runtime
+// reads it off its own configuration.
+//
+// Peer accepts delta-format modified sets (see MODIFIED_DELTA above).
 inline constexpr std::uint32_t kCapModifiedDelta = 1U << 0;
-// Peer understands the two-phase write-back exchange (WB_PREPARE /
-// WB_COMMIT / WB_ABORT, PROTOCOL.md "Failure model"). Non-capable peers
-// keep the one-shot WRITE_BACK protocol.
-inline constexpr std::uint32_t kCapTwoPhaseWriteBack = 1U << 1;
-// Peer understands the trace-context frame extension (kFrameTraceFlag).
-// Non-capable peers receive plain frames; tracing then records spans
-// locally but cannot link them across that hop.
-inline constexpr std::uint32_t kCapTraceContext = 1U << 2;
-// Peer runs the concurrent multi-session protocol: WB_PREPARE carries a
-// write-manifest of home object addresses for version validation, and the
-// home may answer CONFLICT (PROTOCOL.md "Concurrent sessions"). Non-capable
-// peers keep the single-session protocol with its busy-cache refusal.
-inline constexpr std::uint32_t kCapMultiSession = 1U << 3;
 // Peer shares this host's process memory and understands shm-lane payload
 // descriptors (kFrameShmFlag frames / Message::view pass-through). Granted
 // by the World only while every space shares one architecture model — the
 // published bytes are the sender's native encoding of the payload, and the
 // whole point is that the receiver reads them in place.
 inline constexpr std::uint32_t kCapShmPayload = 1U << 4;
-// Peer participates in crash recovery: it stamps frames with incarnation
-// numbers (kFrameIncarnationFlag), fences stale-incarnation traffic, and
-// understands REJOIN/REJOIN_ACK (PROTOCOL.md "Incarnations, fencing &
-// rejoin"). Granted by the World only when recovery is enabled.
-inline constexpr std::uint32_t kCapIncarnation = 1U << 5;
 
 struct ModifiedDelta {
   LongPointer id;

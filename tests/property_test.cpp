@@ -110,7 +110,8 @@ TEST_P(PatternEquivalence, WritesLandAndReadsMatch) {
                std::uint32_t target_count, std::uint64_t seed) -> std::int64_t {
               const auto pattern = workload::make_pattern(
                   op_count, target_count, /*write_ratio=*/0.5, seed);
-              std::int64_t read_hash = 0;
+              // Unsigned: the hash wraps, and signed overflow is undefined.
+              std::uint64_t read_hash = 0;
               for (const auto& op : pattern.ops) {
                 ListNode* n = head;
                 for (std::uint32_t i = 0; i < op.target && n != nullptr; ++i) {
@@ -120,10 +121,11 @@ TEST_P(PatternEquivalence, WritesLandAndReadsMatch) {
                 if (op.kind == workload::OpKind::kWrite) {
                   n->value += op.operand;
                 } else {
-                  read_hash = read_hash * 31 + n->value;
+                  read_hash = read_hash * 31 +
+                              static_cast<std::uint64_t>(n->value);
                 }
               }
-              return read_hash;
+              return static_cast<std::int64_t>(read_hash);
             })
       .check();
 
@@ -143,13 +145,14 @@ TEST_P(PatternEquivalence, WritesLandAndReadsMatch) {
     }
     const auto pattern =
         workload::make_pattern(param.ops, param.targets, 0.5, param.seed);
-    std::int64_t expected_hash = 0;
+    std::uint64_t expected_hash = 0;
     for (const auto& op : pattern.ops) {
       if (op.target >= param.targets) continue;
       if (op.kind == workload::OpKind::kWrite) {
         oracle[op.target] += op.operand;
       } else {
-        expected_hash = expected_hash * 31 + oracle[op.target];
+        expected_hash =
+            expected_hash * 31 + static_cast<std::uint64_t>(oracle[op.target]);
       }
     }
 
@@ -157,7 +160,7 @@ TEST_P(PatternEquivalence, WritesLandAndReadsMatch) {
     auto hash = session.call<std::int64_t>(callee.id(), "replay", head.value(),
                                            param.ops, param.targets, param.seed);
     ASSERT_TRUE(hash.is_ok()) << hash.status().to_string();
-    EXPECT_EQ(hash.value(), expected_hash);
+    EXPECT_EQ(hash.value(), static_cast<std::int64_t>(expected_hash));
     ASSERT_TRUE(session.end().is_ok());
 
     // After the session every write has landed at home.

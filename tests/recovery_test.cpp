@@ -489,16 +489,15 @@ INSTANTIATE_TEST_SUITE_P(ShipModes, RecoveryTest, ::testing::Bool(),
                            return info.param ? "Delta" : "FullImage";
                          });
 
-// Single-phase write-back (two_phase_writeback = false) has no
-// PREPARE/COMMIT records; the home must journal it anyway, or a crash
-// after the ack replays the heap back to the pre-write image.
-TEST(RecoverySinglePhaseTest, AckedWritebackSurvivesHomeCrash) {
+// An acknowledged write-back is journaled at the home (PREPARE, then
+// COMMIT), so a crash after the ack must not replay the heap back to the
+// pre-write image.
+TEST(RecoveryWritebackTest, AckedWritebackSurvivesHomeCrash) {
   WorldOptions options;
   options.cost = CostModel::zero();
   options.cache.closure_bytes = 0;
   options.fault_injection = true;
   options.timeouts = TimeoutConfig::aggressive();
-  options.two_phase_writeback = false;
   options.recovery = true;
   World world(options);
   AddressSpace& a = world.create_space("A");
