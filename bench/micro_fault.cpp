@@ -46,7 +46,7 @@ void BM_FaultRoundTrip(benchmark::State& state) {
       .register_range(arena.base(), arena.byte_size(), &handler)
       .check();
 
-  volatile std::uint8_t sink = 0;
+  std::uint8_t sink = 0;
   std::size_t page = 0;
   for (auto _ : state) {
     arena.protect(static_cast<PageIndex>(page), PageProtection::kNone).check();

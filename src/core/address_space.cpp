@@ -33,9 +33,9 @@ Status AddressSpace::reincarnate() {
   if (started_ && !stopped_) {
     return failed_precondition("halt the space before reincarnating");
   }
-  // The dead incarnation keeps its heap storage mapped (zombie): peers
-  // hold long pointers into it, and the successor's log replay restore()s
-  // the exact address ranges.
+  // The heap storage belongs to the space's arena, not the runtime: peers
+  // keep their long pointers into it, and the successor's log replay
+  // restore()s the exact address ranges.
   zombies_.push_back(std::move(runtime_));
   runtime_ = make_runtime();
   started_ = false;

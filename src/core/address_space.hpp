@@ -6,11 +6,11 @@
 // model directly — one active thread, re-entrant service while blocked.
 //
 // Crash recovery: halt() stops the worker but keeps the runtime;
-// reincarnate() retires the dead runtime into a zombie list (its heap
-// storage must stay mapped — peers hold long pointers into it, and the
-// successor incarnation restore()s the exact ranges from the recovery log)
-// and constructs a fresh Runtime with the same identity, ready for
-// re-configuration and start().
+// reincarnate() retires the dead runtime into a zombie list and constructs
+// a fresh Runtime with the same identity, ready for re-configuration and
+// start(). The space owns the heap arena, so its storage outlives every
+// incarnation: peers hold long pointers into it, and the successor's heap
+// restore()s the exact ranges from the recovery log over the same arena.
 #pragma once
 
 #include <future>
@@ -46,6 +46,7 @@ class AddressSpace {
         directory_(std::move(directory)),
         timeouts_(timeouts),
         peer_caps_(std::move(peer_caps)),
+        heap_arena_(arch),
         runtime_(make_runtime()) {}
 
   ~AddressSpace() { shutdown(); }
@@ -63,9 +64,9 @@ class AddressSpace {
   // restartable — reincarnate() + start() bring up the next incarnation.
   void halt();
 
-  // Retires the halted runtime (keeping it alive as a zombie so its heap
-  // storage stays mapped) and builds a fresh Runtime with the same
-  // identity. The caller re-applies per-runtime configuration — recovery
+  // Retires the halted runtime (kept alive as a zombie until the space
+  // dies) and builds a fresh Runtime with the same identity over the same
+  // heap arena. The caller re-applies per-runtime configuration — recovery
   // log, capabilities, toggles — and then start()s the successor.
   // FAILED_PRECONDITION while the worker is still running.
   Status reincarnate();
@@ -107,7 +108,7 @@ class AddressSpace {
  private:
   std::unique_ptr<Runtime> make_runtime() {
     return std::make_unique<Runtime>(id_, name_, *arch_, *registry_, *layouts_,
-                                     *host_types_, *transport_, sim_,
+                                     heap_arena_, *host_types_, *transport_, sim_,
                                      cache_options_, directory_, timeouts_,
                                      peer_caps_);
   }
@@ -126,9 +127,11 @@ class AddressSpace {
   TimeoutConfig timeouts_;
   std::function<std::uint32_t(SpaceId)> peer_caps_;
 
+  // Every incarnation's heap indexes this one arena; declared before the
+  // runtimes so it outlives them.
+  HeapArena heap_arena_;
   std::unique_ptr<Runtime> runtime_;
-  // Dead incarnations, kept until the space itself dies: their heaps own
-  // storage the live runtime re-registered via ManagedHeap::restore().
+  // Dead incarnations, kept until the space itself dies.
   std::vector<std::unique_ptr<Runtime>> zombies_;
   std::thread worker_;
   bool started_ = false;

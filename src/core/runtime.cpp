@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "common/logging.hpp"
 #include "core/graph_payload.hpp"
@@ -42,7 +41,8 @@ namespace srpc {
 
 Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
                  TypeRegistry& registry, const LayoutEngine& layouts,
-                 HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
+                 HeapArena& heap_arena, HostTypeMap& host_types,
+                 Transport& transport, SimNetwork* sim,
                  CacheOptions cache_options,
                  std::function<std::vector<SpaceId>()> directory,
                  TimeoutConfig timeouts,
@@ -59,7 +59,7 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
       directory_(std::move(directory)),
       peer_caps_(std::move(peer_caps)),
       endpoint_(self, transport, mailbox_),
-      heap_(registry, layouts, arch, self),
+      heap_(registry, layouts, arch, self, heap_arena),
       cache_(registry, layouts, arch, self, cache_options, *this),
       allocator_(cache_),
       packer_(codec_, arch, *this),
@@ -379,9 +379,10 @@ void Runtime::commit_shipped(SpaceId dest,
   }
 }
 
-Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
-                                    bool write_back, std::size_t* encoded,
-                                    std::vector<ShippedRecord>* shipped) {
+Status Runtime::attach_modified_set(
+    ByteBuffer& out, SpaceId dest, bool write_back, std::size_t* encoded,
+    std::vector<ShippedRecord>* shipped,
+    std::vector<CacheManager::ModifiedDatum>* homed) {
   SessionState& sst = cur_state();
   ++sst.ship_epoch;
   const bool dest_takes_deltas =
@@ -439,9 +440,13 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
   // write-back mode, where every datum is already expressed against its
   // home) our own home data that remote activity modified this session.
   std::vector<CacheManager::ModifiedDatum> candidates;
-  for (auto& d : cache().collect_modified_deltas()) {
-    if (write_back && d.id.space != dest) continue;
-    candidates.push_back(std::move(d));
+  if (homed != nullptr) {
+    candidates = std::move(*homed);
+  } else {
+    for (auto& d : cache().collect_modified_deltas()) {
+      if (write_back && d.id.space != dest) continue;
+      candidates.push_back(std::move(d));
+    }
   }
   if (!write_back) {
     for (auto it = sst.updates.begin(); it != sst.updates.end();) {
@@ -1445,9 +1450,9 @@ void Runtime::set_recovery(RecoveryLog* log, std::uint32_t incarnation) {
     endpoint_.set_fence({});
     return;
   }
-  // Logged addresses must stay unique for the log's lifetime: freed storage
-  // is retired, never handed back to the system allocator, so a replayed
-  // ALLOC can always re-register the exact range.
+  // Logged addresses must stay unique for the log's lifetime: a freed block
+  // is retired, never handed out again, so a replayed ALLOC can always
+  // re-register the exact range.
   heap_.set_retain_freed(true);
   // Partition the session-id space by incarnation: the prior life's ids are
   // tombstoned at every home it touched, so the successor must never mint
@@ -2667,9 +2672,11 @@ Status Runtime::end_session(SessionId id) {
   // has acknowledged its prepare does phase two commit them all — so a
   // crash, partition, or deadline during phase one aborts cleanly
   // everywhere and no home is left half-new.
-  std::set<SpaceId> homes;
-  for (const auto& d : session_cache.collect_modified_deltas()) {
-    if (d.id.space != self_) homes.insert(d.id.space);
+  // The modified set is collected (and diffed) once; each home's batch is
+  // built from its share, in collection order.
+  std::map<SpaceId, std::vector<CacheManager::ModifiedDatum>> homes;
+  for (auto& d : session_cache.collect_modified_deltas()) {
+    if (d.id.space != self_) homes[d.id.space].push_back(std::move(d));
   }
 
   const std::uint64_t epoch = ++wb_epoch_;
@@ -2697,7 +2704,7 @@ Status Runtime::end_session(SessionId id) {
   };
   std::vector<HomeBatch> batch;
   Status failure = Status::ok();
-  for (const SpaceId home : homes) {
+  for (auto& [home, homed] : homes) {
     Message msg;
     msg.type = MessageType::kWbPrepare;
     msg.to = home;
@@ -2713,7 +2720,8 @@ Status Runtime::end_session(SessionId id) {
     // encoded into a scratch buffer first, then spliced.
     ByteBuffer section;
     failure = attach_modified_set(multi_session_ ? section : msg.payload, home,
-                                  /*write_back=*/true, &encoded, &shipped);
+                                  /*write_back=*/true, &encoded, &shipped,
+                                  &homed);
     if (!failure.is_ok()) break;
     if (encoded == 0) continue;  // home already holds the final content
     if (multi_session_) {

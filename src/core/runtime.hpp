@@ -112,7 +112,7 @@ class Runtime final : public PageFetcher,
   // manifests, incarnation stamps) every peer in a World speaks alike.
   Runtime(SpaceId self, std::string name, const ArchModel& arch,
           TypeRegistry& registry, const LayoutEngine& layouts,
-          HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
+          HeapArena& heap_arena, HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
           CacheOptions cache_options,
           std::function<std::vector<SpaceId>()> directory,
           TimeoutConfig timeouts = {},
@@ -247,7 +247,8 @@ class Runtime final : public PageFetcher,
   // Attaches the World-owned durable log and this runtime's incarnation
   // number (>= 1; 0 detaches and keeps the legacy wire format). Installs
   // the incarnation stamp and the stale-frame fence on the endpoint and
-  // flips the heap into retain-freed mode so logged addresses stay mapped.
+  // flips the heap into retain-freed mode so logged addresses are never
+  // reused.
   // Call before start().
   void set_recovery(RecoveryLog* log, std::uint32_t incarnation);
   [[nodiscard]] std::uint32_t incarnation() const noexcept { return incarnation_; }
@@ -620,11 +621,14 @@ class Runtime final : public PageFetcher,
   // `write_back` set, only objects homed at `dest` are considered and
   // travelling home updates are excluded. `encoded` (optional) counts the
   // objects actually written; `shipped` (optional) collects the records to
-  // commit after a successful transfer.
-  Status attach_modified_set(ByteBuffer& out, SpaceId dest,
-                             bool write_back = false,
-                             std::size_t* encoded = nullptr,
-                             std::vector<ShippedRecord>* shipped = nullptr);
+  // commit after a successful transfer. `homed` (optional, write-back only)
+  // is the part of the session's modified set homed at `dest`, already
+  // collected by the caller; it is consumed.
+  Status attach_modified_set(
+      ByteBuffer& out, SpaceId dest, bool write_back = false,
+      std::size_t* encoded = nullptr,
+      std::vector<ShippedRecord>* shipped = nullptr,
+      std::vector<CacheManager::ModifiedDatum>* homed = nullptr);
   Status attach_closures(ByteBuffer& out, std::span<const std::uint64_t> roots);
 
   // Multi-session mode: `session` observed every self-homed object in

@@ -173,10 +173,9 @@ Status RecoveryLog::restore_checkpoint(const Record& image, ManagedHeap& heap) {
     if (!size) return size.status();
     auto bytes = dec.get_opaque_fixed(static_cast<std::uint32_t>(size.value()));
     if (!bytes) return bytes.status();
-    // The predecessor's storage is still mapped (the zombie runtime keeps
-    // it alive until world teardown), so the successor re-registers the
-    // exact range — peers' long pointers stay valid — and rolls the bytes
-    // back to the checkpointed image.
+    // The predecessor's storage lives on in the space's heap arena, so the
+    // successor re-registers the exact range — peers' long pointers stay
+    // valid — and rolls the bytes back to the checkpointed image.
     auto* base = reinterpret_cast<std::uint8_t*>(addr.value());
     SRPC_RETURN_IF_ERROR(heap.restore(base, type.value(), count.value(),
                                       size.value(), owner_space.value(),
