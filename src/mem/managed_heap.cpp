@@ -103,11 +103,16 @@ void ManagedHeap::push_free(std::uint32_t id) {
   it->head = id;
 }
 
+std::vector<ManagedHeap::SessionList>::iterator ManagedHeap::session_list(
+    SessionId session) {
+  return std::find_if(session_lists_.begin(), session_lists_.end(),
+                      [&](const SessionList& l) { return l.session == session; });
+}
+
 void ManagedHeap::link_session(std::uint32_t id) {
   Slot& s = slot(id);
   const SessionId session = s.record.owner_session;
-  auto it = std::find_if(session_lists_.begin(), session_lists_.end(),
-                         [&](const SessionList& l) { return l.session == session; });
+  auto it = session_list(session);
   if (it == session_lists_.end()) {
     session_lists_.push_back(SessionList{session, kNone});
     it = std::prev(session_lists_.end());
@@ -125,9 +130,7 @@ void ManagedHeap::unlink_session(std::uint32_t id) {
   if (s.prev != kNone) {
     slot(s.prev).next = s.next;
   } else {
-    auto it = std::find_if(
-        session_lists_.begin(), session_lists_.end(),
-        [&](const SessionList& l) { return l.session == s.record.owner_session; });
+    auto it = session_list(s.record.owner_session);
     it->head = s.next;
     if (it->head == kNone) session_lists_.erase(it);
   }
@@ -294,8 +297,7 @@ Status ManagedHeap::tag_owner(std::uint64_t addr, SpaceId space,
 }
 
 std::size_t ManagedHeap::promote_session(SessionId session) {
-  auto list = std::find_if(session_lists_.begin(), session_lists_.end(),
-                           [&](const SessionList& l) { return l.session == session; });
+  auto list = session_list(session);
   if (list == session_lists_.end()) return 0;
   std::size_t promoted = 0;
   for (std::uint32_t id = list->head; id != kNone;) {
@@ -314,8 +316,7 @@ std::size_t ManagedHeap::promote_session(SessionId session) {
 std::uint64_t ManagedHeap::reclaim_session(SessionId session) {
   std::uint64_t reclaimed = 0;
   for (;;) {
-    auto list = std::find_if(session_lists_.begin(), session_lists_.end(),
-                             [&](const SessionList& l) { return l.session == session; });
+    auto list = session_list(session);
     if (list == session_lists_.end()) return reclaimed;
     reclaimed += slot(list->head).record.size;
     discard(list->head);

@@ -198,6 +198,8 @@ class ManagedHeap {
 
   std::uint32_t pop_free(std::uint64_t size, std::uint64_t align);
   void push_free(std::uint32_t id);
+  // The open-session list of `session`, or end().
+  std::vector<SessionList>::iterator session_list(SessionId session);
   void link_session(std::uint32_t id);
   void unlink_session(std::uint32_t id);
   // Unregisters a live record: its block goes to the free list (or is
